@@ -1,0 +1,264 @@
+/**
+ * @file
+ * Golden telemetry digests: the absolute DigestSink value of small,
+ * fixed governed runs, pinned as constants.
+ *
+ * Every other determinism test compares two runs of the same build
+ * (serial vs threaded, live vs replayed, run() vs drive()), so a change
+ * that shifts both sides of such a comparison still passes it. These
+ * constants do not move with the code: a refactor of the interval
+ * pipeline must leave every one of them bit-identical. A change that
+ * alters simulated or governed behaviour on purpose (a new NB solver,
+ * a retuned governor) updates the constants here in the same commit
+ * and says why.
+ *
+ * The constants hold for the default build flags (no PPEP_NATIVE): the
+ * sim and model libraries pin -ffp-contract=off, but the governor and
+ * runtime layers do not.
+ */
+
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <array>
+#include <cstdint>
+#include <filesystem>
+#include <ios>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "ppep/model/trainer.hpp"
+#include "ppep/runtime/fleet.hpp"
+#include "ppep/runtime/session.hpp"
+#include "ppep/sim/fault.hpp"
+#include "ppep/workloads/suite.hpp"
+
+namespace {
+
+using namespace ppep;
+using governor::CapSchedule;
+using runtime::DigestSink;
+using runtime::Fleet;
+using runtime::FleetResult;
+using runtime::FleetSessionSpec;
+using runtime::FleetSpec;
+using runtime::Session;
+
+std::vector<const workloads::Combination *>
+smallTrainingSet()
+{
+    std::vector<const workloads::Combination *> out;
+    for (const auto &c : workloads::allCombinations())
+        if (c.instances.size() == 1 && out.size() < 8)
+            out.push_back(&c);
+    return out;
+}
+
+const model::TrainedModels &
+fxModels()
+{
+    static const model::TrainedModels m =
+        model::Trainer(sim::fx8320Config(), 91)
+            .trainAll(smallTrainingSet());
+    return m;
+}
+
+/** Per-process cache dir (ctest runs each TEST as its own process). */
+std::string
+cacheDir()
+{
+    static const std::string dir = [] {
+        const std::string d = ::testing::TempDir() + "ppep_golden_" +
+                              std::to_string(::getpid());
+        std::filesystem::remove_all(d);
+        return d;
+    }();
+    return dir;
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << v << "ULL";
+    return os.str();
+}
+
+void
+expectDigest(std::uint64_t got, std::uint64_t want, const std::string &what)
+{
+    EXPECT_EQ(got, want) << what << ": digest " << hex(got)
+                         << ", golden " << hex(want);
+}
+
+template <std::size_t N>
+void
+expectFleetDigests(const FleetResult &res,
+                   const std::array<std::uint64_t, N> &want,
+                   const std::string &what)
+{
+    ASSERT_EQ(res.failed, 0u) << what;
+    ASSERT_EQ(res.sessions.size(), N) << what;
+    for (std::size_t i = 0; i < N; ++i)
+        expectDigest(res.sessions[i].telemetry_digest, want[i],
+                     what + " session " + std::to_string(i));
+}
+
+Session::Builder
+fxSession(DigestSink &digest)
+{
+    auto b = Session::builder(sim::fx8320Config());
+    b.seed(11).models(fxModels()).warmup(2).sink(digest);
+    return b;
+}
+
+FleetSpec
+fleetSpec(std::size_t n_sessions, std::size_t intervals)
+{
+    static const std::vector<std::string> programs = {"EP", "CG",
+                                                      "458.sjeng",
+                                                      "433.milc"};
+    FleetSpec spec;
+    spec.cfg = sim::fx8320Config();
+    spec.training_seed = 91;
+    spec.training_combos = smallTrainingSet();
+    spec.store.emplace(cacheDir());
+    spec.warmup = 1;
+    spec.intervals = intervals;
+    for (std::size_t i = 0; i < n_sessions; ++i) {
+        FleetSessionSpec ss;
+        ss.seed = 7 + i;
+        ss.pg = (i % 2) == 0;
+        ss.one_per_cu = {programs[i % programs.size()],
+                         programs[(i + 1) % programs.size()]};
+        spec.sessions.push_back(std::move(ss));
+    }
+    return spec;
+}
+
+/** Two FX-8320 and two Phenom II sessions. */
+FleetSpec
+mixedSpec(std::size_t intervals)
+{
+    FleetSpec spec = fleetSpec(4, intervals);
+    for (std::size_t i : {1, 3}) {
+        spec.sessions[i].cfg = sim::phenomIIConfig();
+        spec.sessions[i].pg = false;
+    }
+    return spec;
+}
+
+TEST(GoldenDigest, PlainEdpSession)
+{
+    DigestSink digest;
+    auto session =
+        fxSession(digest).onePerCu({"EP", "CG", "458.sjeng", "433.milc"})
+            .build();
+    ASSERT_EQ(session.drive(12), 12u);
+    expectDigest(digest.digest(), 0xded16760989d7de6ULL, "plain EDP session");
+}
+
+TEST(GoldenDigest, HardenedSessionUnderSeededFaults)
+{
+    DigestSink digest;
+    auto session =
+        fxSession(digest)
+            .onePerCu({"CG", "EP", "433.milc"})
+            .faults(sim::FaultPlan::parse(
+                "msr=0.2,sensor_drop=0.1,diode_spike=0.05,jitter=0.2"))
+            .faultSeed(5)
+            .build();
+    ASSERT_EQ(session.drive(12), 12u);
+    expectDigest(digest.digest(), 0x99c22d4a0b8c8e7cULL, "hardened session");
+}
+
+TEST(GoldenDigest, TenantSession)
+{
+    DigestSink digest;
+    auto session =
+        fxSession(digest)
+            .pg(true)
+            .tenants({{"alpha", {0, 1, 2, 3}, {{0, "EP", true}}},
+                      {"beta", {4, 5, 6, 7}, {{4, "CG", true}}}})
+            .build();
+    ASSERT_EQ(session.drive(12), 12u);
+    expectDigest(digest.digest(), 0x0c767b9037361c46ULL, "tenant session");
+}
+
+TEST(GoldenDigest, SessionUnderSteppedCapSchedule)
+{
+    DigestSink digest;
+    auto session =
+        fxSession(digest)
+            .onePerCu({"EP", "EP", "CG", "458.sjeng"})
+            .governor(runtime::cappingGovernor())
+            .schedule(CapSchedule({{0, 120.0}, {4, 70.0}, {8, 50.0}}))
+            .build();
+    ASSERT_EQ(session.run(12).size(), 12u);
+    expectDigest(digest.digest(), 0xc7138ffca3029506ULL, "capped session");
+}
+
+TEST(GoldenDigest, MixedFleetAtOneAndThreeThreads)
+{
+    Fleet fleet(mixedSpec(8));
+    const std::array<std::uint64_t, 4> want = {
+        0x7081586f7beef1deULL, 0x337acb6c3015f2daULL,
+        0x21071cd66ebbd5b0ULL, 0x3d967e042d2c3913ULL};
+    expectFleetDigests(fleet.run(1), want, "mixed fleet, 1 thread");
+    expectFleetDigests(fleet.run(3), want, "mixed fleet, 3 threads");
+}
+
+TEST(GoldenDigest, RecordThenReplayFleet)
+{
+    const std::string path = cacheDir() + "/golden.trc";
+    FleetSpec spec = fleetSpec(3, 8);
+    spec.sessions[1].faults =
+        sim::FaultPlan::parse("msr=0.3,sensor_drop=0.2,jitter=0.3");
+    spec.record_path = path;
+    const std::array<std::uint64_t, 3> want = {0x7081586f7beef1deULL,
+                                               0x5371ab2620d0ea7fULL,
+                                               0x21071cd66ebbd5b0ULL};
+    Fleet recorder(spec);
+    expectFleetDigests(recorder.run(2), want, "recording fleet");
+
+    spec.record_path.clear();
+    spec.replay_path = path;
+    Fleet replayer(std::move(spec));
+    expectFleetDigests(replayer.run(2), want, "replayed fleet");
+}
+
+TEST(GoldenDigest, ArbitratedFleetWithBudgetDrop)
+{
+    FleetSpec spec = mixedSpec(10);
+    // PPEP capping needs the power-gating idle decomposition the
+    // Phenom II does not train; its sessions keep the EDP default.
+    for (std::size_t i : {0, 2})
+        spec.sessions[i].governor = runtime::cappingGovernor();
+    spec.sessions[2].faults =
+        sim::FaultPlan::parse("msr=0.1,sensor_drop=0.05");
+    spec.sessions[0].one_per_cu.clear();
+    spec.sessions[0].tenants = {
+        {"alpha", {0, 1, 2, 3}, {{0, "EP", true}}},
+        {"beta", {4, 5, 6, 7}, {{4, "CG", true}}},
+    };
+    spec.sessions[1].priority = 2.0;
+    runtime::ArbiterSpec arbiter;
+    arbiter.budget = CapSchedule({{0, 150.0}, {5, 100.0}});
+    spec.arbiter = std::move(arbiter);
+    Fleet fleet(std::move(spec));
+    const std::array<std::uint64_t, 4> want = {
+        0x1b093f810ddc64efULL, 0x276b4ed2dae4e76cULL,
+        0xe7e252d687c4fc1bULL, 0x36fd41a3baec31e3ULL};
+    const FleetResult serial = fleet.run(1);
+    expectFleetDigests(serial, want, "arbitrated fleet, 1 thread");
+    // The budget must bind, or the arbiter never moved a cap.
+    double throttled_w = 0.0;
+    for (const auto &s : serial.sessions)
+        throttled_w += s.mean_throttled_w;
+    EXPECT_GT(throttled_w, 0.0);
+    expectFleetDigests(fleet.run(2), want, "arbitrated fleet, 2 threads");
+}
+
+} // namespace
