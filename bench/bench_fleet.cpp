@@ -10,9 +10,6 @@
  *     (FX-8320, Phenom II, FX-8320 NB-DVFS) with two tenants sharing
  *     the first FX chip — one model-registry entry per platform,
  *     per-tenant attribution columns in the telemetry stream;
- *   - batched: the same homogeneous fleet driven through one SoA
- *     sim::ChipBatch SIMD pass — digests must replay the scalar
- *     serial run bit for bit;
  *   - replay: the homogeneous fleet recorded once at simulation speed,
  *     then re-driven from the memory-mapped trace with zero simulation
  *     — the governing-pipeline throughput with the simulator factored
@@ -39,8 +36,8 @@
  *   bench_fleet --quick        shorter timed sections (CI smoke)
  *   bench_fleet --check FILE   compare against a committed baseline
  *                              instead of writing one: fails on any
- *                              digest mismatch (including batched and
- *                              replay), when the mixed fleet's
+ *                              digest mismatch (including replay),
+ *                              when the mixed fleet's
  *                              intervals/s falls below 30% of the
  *                              homogeneous fleet's or regresses more
  *                              than 25% against the committed ratio,
@@ -251,9 +248,6 @@ struct ScenarioResult
     double best_intervals_per_s = 0.0;
     /** Best wall-clock speedup over the serial run. */
     double best_speedup = 0.0;
-    /** Per-session digests of the serial run — the reference the
-     *  batched drive must reproduce. */
-    std::vector<std::uint64_t> serial_digests;
 };
 
 ScenarioResult
@@ -266,6 +260,7 @@ runScenario(runtime::Fleet &fleet, const char *label,
 
     ScenarioResult out;
     double serial_wall = 0.0;
+    std::vector<std::uint64_t> serial_digests;
 
     for (const std::size_t threads : {1, 2, 4, 8}) {
         const auto res = fleet.run(threads);
@@ -281,11 +276,11 @@ runScenario(runtime::Fleet &fleet, const char *label,
         if (threads == 1) {
             serial_wall = res.wall_s;
             for (const auto &s : res.sessions)
-                out.serial_digests.push_back(s.telemetry_digest);
+                serial_digests.push_back(s.telemetry_digest);
         } else {
             for (std::size_t i = 0; i < res.sessions.size(); ++i)
                 match &= res.sessions[i].telemetry_digest ==
-                         out.serial_digests[i];
+                         serial_digests[i];
         }
         out.all_match &= match;
 
@@ -369,37 +364,6 @@ main(int argc, char **argv)
     const ScenarioResult hetero_res =
         runScenario(hetero, "fleet_hetero", json);
     bool all_match = homo_res.all_match && hetero_res.all_match;
-
-    // Batched SoA drive: the same homogeneous fleet stepped through
-    // one sim::ChipBatch SIMD pass on the calling thread. Digests must
-    // reproduce the scalar serial run bit for bit.
-    {
-        runtime::FleetSpec bspec = makeHomoSpec(n_sessions, quick);
-        bspec.batched = true;
-        runtime::Fleet batched(std::move(bspec));
-        batched.prepare();
-        const auto res = batched.run(1);
-        if (res.failed != 0) {
-            std::fprintf(stderr,
-                         "FLEET BENCH FAILED: %zu session(s) errored "
-                         "in the batched drive\n",
-                         res.failed);
-            return EXIT_FAILURE;
-        }
-        bool match = true;
-        for (std::size_t i = 0; i < res.sessions.size(); ++i)
-            match &= res.sessions[i].telemetry_digest ==
-                     homo_res.serial_digests[i];
-        all_match &= match;
-        std::printf("\nbatched SoA drive: %.1f intervals/s, digests "
-                    "%s\n",
-                    res.intervals_per_s,
-                    match ? "bit-identical" : "MISMATCH");
-        json.add("fleet_batched", "intervals_per_s",
-                 res.intervals_per_s, "1/s", 1);
-        json.add("fleet_batched", "digest_match", match ? 1.0 : 0.0,
-                 "bool", 1);
-    }
 
     // Replay ingest: record the homogeneous fleet once at simulation
     // speed, then re-drive governing from the memory-mapped trace.

@@ -169,10 +169,10 @@ class GovernorLoop
     std::size_t drive(std::size_t intervals, const CapSchedule &schedule,
                       const StepObserver &observer = nullptr);
 
-    // Split cycle for external drivers (the batched fleet, replay):
-    // cycleBegin + "run the interval into step.rec however you like" +
-    // cycleDecide is exactly cycle() — the private fused path is these
-    // two calls with source.collectIntervalInto(step.rec) between them.
+    // Split cycle: cycleBegin + source.collectIntervalInto(step.rec) +
+    // cycleDecide is exactly cycle(). runtime::Session builds its one
+    // governed interval from these halves, so a replay frame can stand
+    // in for the collect and a fleet barrier can sit before the decide.
 
     /** Stamp the step's cap and the VF context active this interval. */
     void cycleBegin(std::size_t index, const CapSchedule &schedule,

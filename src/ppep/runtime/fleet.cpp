@@ -6,6 +6,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -36,21 +37,49 @@ defaultTrainingCombos()
     return out;
 }
 
+/**
+ * Run @p f, recording anything it throws into @p res.error instead of
+ * letting it escape: a failing session must not take the pool down.
+ */
+template <typename F>
+void
+captureFailure(FleetSessionResult &res, F &&f)
+{
+    try {
+        f();
+    } catch (const std::exception &e) {
+        res.error = e.what();
+    } catch (...) {
+        res.error = "unknown exception";
+    }
+}
+
+/** Run work(w) for every w < @p workers, each on its own thread (or
+ *  inline when there is one), and join them all. */
+template <typename Work>
+void
+runWorkers(std::size_t workers, const Work &work)
+{
+    if (workers == 1) {
+        work(std::size_t{0});
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w)
+        pool.emplace_back(std::cref(work), w);
+    for (auto &th : pool)
+        th.join();
+}
+
 } // namespace
 
 Fleet::Fleet(FleetSpec spec) : spec_(std::move(spec))
 {
     PPEP_ASSERT(!spec_.sessions.empty(), "fleet has no sessions");
     PPEP_ASSERT(spec_.intervals > 0, "fleet intervals must be positive");
-    if (!spec_.replay_path.empty() && spec_.batched)
-        PPEP_FATAL("a replayed fleet has no chips to batch-step; "
-                   "use batched or replay_path, not both");
     if (!spec_.replay_path.empty() && !spec_.record_path.empty())
         PPEP_FATAL("a fleet cannot record and replay at once");
-    if (spec_.arbiter && spec_.batched)
-        PPEP_FATAL("the arbitrated drive and the batched SIMD drive "
-                   "are separate locksteps; use arbiter or batched, "
-                   "not both");
     for (std::size_t i = 0; i < spec_.sessions.size(); ++i)
         if (spec_.sessions[i].name.empty())
             spec_.sessions[i].name = "s" + std::to_string(i);
@@ -77,12 +106,18 @@ Fleet::prepare()
         auto entry = std::make_unique<ModelEntry>();
         entry->cfg = cfg;
         entry->fingerprint = fp;
+        // Each platform trains on the requested combinations it can
+        // host: an 8-instance combination cannot run on a 6-core chip.
+        std::vector<const workloads::Combination *> fitting;
+        for (const auto *c : combos)
+            if (c->instances.size() <= cfg.coreCount())
+                fitting.push_back(c);
         if (spec_.store) {
             entry->models = spec_.store->trainOrLoad(
-                cfg, spec_.training_seed, combos);
+                cfg, spec_.training_seed, fitting);
         } else {
             model::Trainer trainer(cfg, spec_.training_seed);
-            entry->models = trainer.trainAll(combos);
+            entry->models = trainer.trainAll(fitting);
         }
         entry->ppep.emplace(cfg, entry->models.chip, entry->models.pg);
         entries_.push_back(std::move(entry));
@@ -264,15 +299,11 @@ Fleet::runOne(std::size_t index)
 {
     const auto t0 = clock::now();
     Harness h;
-    try {
+    captureFailure(h.res, [&] {
         buildHarness(index, h);
         h.res.intervals = h.session->drive(spec_.intervals);
         finishHarness(h);
-    } catch (const std::exception &e) {
-        h.res.error = e.what();
-    } catch (...) {
-        h.res.error = "unknown exception";
-    }
+    });
     h.res.wall_s = secondsSince(t0);
     return h.res;
 }
@@ -297,8 +328,6 @@ Fleet::run(std::size_t n_threads)
         replay_file_ =
             std::make_unique<trace::ReplayFile>(spec_.replay_path);
 
-    if (spec_.batched)
-        return runBatched();
     if (spec_.arbiter)
         return runArbitrated(n_threads);
 
@@ -314,102 +343,14 @@ Fleet::run(std::size_t n_threads)
     // session, result, model, or chip. The shared Ppep/TrainedModels
     // are read-only by the Session contract.
     std::atomic<std::size_t> next{0};
-    auto work = [&] {
+    runWorkers(workers, [&](std::size_t) {
         for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= n_sessions)
                 return;
             out.sessions[i] = runOne(i);
         }
-    };
-    if (workers == 1) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w)
-            pool.emplace_back(work);
-        for (auto &th : pool)
-            th.join();
-    }
-
-    finalizeRun(out, secondsSince(t0));
-    return out;
-}
-
-FleetResult
-Fleet::runBatched()
-{
-    const std::size_t n_sessions = spec_.sessions.size();
-    FleetResult out;
-    out.sessions.resize(n_sessions);
-    const auto t0 = clock::now();
-
-    // Build every harness on this thread, attach its chip to the batch.
-    // A session that fails to build is recorded and left out of the
-    // lockstep; its lane is never allocated.
-    std::vector<std::unique_ptr<Harness>> harnesses(n_sessions);
-    std::vector<std::optional<Session::BatchDriver>> drivers(n_sessions);
-    std::vector<clock::time_point> started(n_sessions);
-    sim::ChipBatch batch;
-    constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> lane_of(n_sessions, kNoLane);
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-        started[i] = clock::now();
-        harnesses[i] = std::make_unique<Harness>();
-        try {
-            buildHarness(i, *harnesses[i]);
-            drivers[i].emplace(*harnesses[i]->session);
-            lane_of[i] = batch.attach(drivers[i]->chip());
-        } catch (const std::exception &e) {
-            harnesses[i]->res.error = e.what();
-            drivers[i].reset();
-        } catch (...) {
-            harnesses[i]->res.error = "unknown exception";
-            drivers[i].reset();
-        }
-    }
-
-    // The lockstep: open the interval on every session, step all chips
-    // tick-locked through the batch, fan each tick result back, close.
-    // Fault-jittered sessions may run short intervals; their lanes go
-    // inactive for the tail ticks, exactly as if they had stopped
-    // stepping their own chip.
-    std::vector<std::size_t> ticks(n_sessions, 0);
-    for (std::size_t interval = 0; interval < spec_.intervals;
-         ++interval) {
-        std::size_t max_ticks = 0;
-        for (std::size_t i = 0; i < n_sessions; ++i) {
-            if (!drivers[i])
-                continue;
-            ticks[i] = drivers[i]->beginInterval();
-            batch.setActive(lane_of[i], true);
-            max_ticks = std::max(max_ticks, ticks[i]);
-        }
-        for (std::size_t t = 0; t < max_ticks; ++t) {
-            for (std::size_t i = 0; i < n_sessions; ++i)
-                if (drivers[i] && ticks[i] == t)
-                    batch.setActive(lane_of[i], false);
-            batch.step();
-            for (std::size_t i = 0; i < n_sessions; ++i)
-                if (drivers[i] && t < ticks[i])
-                    drivers[i]->consumeTick(batch.result(lane_of[i]));
-        }
-        for (std::size_t i = 0; i < n_sessions; ++i)
-            if (drivers[i])
-                drivers[i]->endInterval();
-    }
-
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-        Harness &h = *harnesses[i];
-        if (drivers[i]) {
-            drivers[i]->finish();
-            h.res.intervals = spec_.intervals;
-            finishHarness(h);
-        }
-        h.res.wall_s = secondsSince(started[i]);
-        out.sessions[i] = std::move(h.res);
-    }
+    });
 
     finalizeRun(out, secondsSince(t0));
     return out;
@@ -428,22 +369,12 @@ Fleet::runArbitrated(std::size_t n_threads)
     // build is recorded, excluded from the lockstep, and enters the
     // arbiter with priority 0 so it draws no budget.
     std::vector<std::unique_ptr<Harness>> harnesses(n_sessions);
-    std::vector<std::optional<Session::LockstepDriver>> drivers(
-        n_sessions);
     std::vector<clock::time_point> started(n_sessions);
     for (std::size_t i = 0; i < n_sessions; ++i) {
         started[i] = clock::now();
         harnesses[i] = std::make_unique<Harness>();
-        try {
-            buildHarness(i, *harnesses[i]);
-            drivers[i].emplace(*harnesses[i]->session);
-        } catch (const std::exception &e) {
-            harnesses[i]->res.error = e.what();
-            drivers[i].reset();
-        } catch (...) {
-            harnesses[i]->res.error = "unknown exception";
-            drivers[i].reset();
-        }
+        Harness &h = *harnesses[i];
+        captureFailure(h.res, [&] { buildHarness(i, h); });
     }
 
     std::vector<FleetArbiter::SessionSetup> setups(n_sessions);
@@ -452,7 +383,7 @@ Fleet::runArbitrated(std::size_t n_threads)
     for (std::size_t i = 0; i < n_sessions; ++i) {
         const FleetSessionSpec &ss = spec_.sessions[i];
         auto &su = setups[i];
-        if (drivers[i]) {
+        if (harnesses[i]->session) {
             su.priority = ss.priority;
             su.slo_floor_w = ss.slo_floor_w;
             live.push_back(i);
@@ -510,48 +441,41 @@ Fleet::runArbitrated(std::size_t n_threads)
     };
 
     if (!live.empty()) {
+        // Each interval is the sessions' own collect and decide halves
+        // with the barrier between them: every live session measures
+        // and gathers its exploration, the arbiter decides, and each
+        // session then decides under its allocation.
         std::barrier bar(static_cast<std::ptrdiff_t>(workers),
                          arbitrate);
-        auto work = [&](std::size_t w) {
+        runWorkers(workers, [&](std::size_t w) {
             // Contiguous slice of the live sessions for this worker.
             const std::size_t lo = live.size() * w / workers;
             const std::size_t hi = live.size() * (w + 1) / workers;
             for (std::size_t iv = 0; iv < spec_.intervals; ++iv) {
                 for (std::size_t k = lo; k < hi; ++k) {
                     const std::size_t i = live[k];
-                    auto &d = *drivers[i];
-                    d.collectPhase();
-                    const auto *ex = d.exploration();
-                    arbiter->gather(
-                        i, ex ? ex->data() : nullptr,
-                        ex ? ex->size() : 0, d.measuredPowerW());
+                    Session &session = *harnesses[i]->session;
+                    const auto &step = session.collect();
+                    const auto *ex = session.policy().lastExploration();
+                    arbiter->gather(i, ex ? ex->data() : nullptr,
+                                    ex ? ex->size() : 0,
+                                    step.rec.sensor_power_w);
                 }
                 bar.arrive_and_wait();
                 for (std::size_t k = lo; k < hi; ++k) {
                     const std::size_t i = live[k];
-                    drivers[i]->setCapLimitW(arbiter->capOf(i));
-                    drivers[i]->decidePhase();
+                    harnesses[i]->session->decide(arbiter->capOf(i));
                 }
             }
-        };
-        if (workers == 1) {
-            work(0);
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (std::size_t w = 0; w < workers; ++w)
-                pool.emplace_back(work, w);
-            for (auto &th : pool)
-                th.join();
-        }
+        });
     }
 
     const double intervals_d =
         static_cast<double>(std::max<std::size_t>(1, spec_.intervals));
     for (std::size_t i = 0; i < n_sessions; ++i) {
         Harness &h = *harnesses[i];
-        if (drivers[i]) {
-            drivers[i]->finish();
+        if (h.session) {
+            h.session->finishSinks();
             h.res.intervals = spec_.intervals;
             finishHarness(h);
             h.res.mean_cap_w = cap_sum_w[i] / intervals_d;

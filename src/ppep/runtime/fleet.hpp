@@ -40,7 +40,6 @@
 #include "ppep/runtime/model_store.hpp"
 #include "ppep/runtime/recorder.hpp"
 #include "ppep/runtime/session.hpp"
-#include "ppep/sim/chip_batch.hpp"
 #include "ppep/sim/chip_config.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/trace/replay.hpp"
@@ -120,29 +119,20 @@ struct FleetSpec
     /** Put each session's CSV behind an AsyncTelemetrySink so stream
      *  writes happen off the governing thread. */
     bool async_telemetry = false;
-    /**
-     * Step every session's chip through one SoA sim::ChipBatch on the
-     * calling thread instead of per-session scalar loops. Telemetry is
-     * bit-identical to the per-session path (any thread count) — the
-     * batch's per-lane arithmetic is the scalar step's, reordered
-     * across lanes only. Incompatible with replay_path.
-     */
-    bool batched = false;
     /** When non-empty, record every session's governed interval stream
      *  into this replay file (written after the run completes). */
     std::string record_path;
     /** When non-empty, drive every session from the stream of the same
      *  name in this replay file: zero simulation, mmap ingest. The
      *  file's platform fingerprints must match the sessions' configs.
-     *  Incompatible with record_path and batched. */
+     *  Incompatible with record_path. */
     std::string replay_path;
     /**
      * Fleet-level power-budget arbitration: when set, the fleet drives
      * every session in lockstep and a BudgetArbiter (or the iterative
      * baseline) redistributes per-session caps from the sessions' own
      * per-VF predictions on a deterministic barrier every interval.
-     * Telemetry stays bit-identical at any thread count. Incompatible
-     * with batched (the SoA chip lockstep is a separate drive).
+     * Telemetry stays bit-identical at any thread count.
      */
     std::optional<ArbiterSpec> arbiter;
     /** The sessions to run. */
@@ -256,17 +246,17 @@ class Fleet
         std::optional<model::Ppep> ppep;
     };
 
-    /** Per-session sinks + session, shared by the scalar and batched
-     *  drive paths (defined in fleet.cpp). */
+    /** Per-session sinks + session, shared by the free-running and
+     *  arbitrated drives (defined in fleet.cpp). */
     struct Harness;
 
     FleetSessionResult runOne(std::size_t index);
-    /** Build sinks and the session for session @p index into @p h. */
+    /** Build sinks and the session for session @p index into @p h;
+     *  h.session is set last, so it is present only when the build
+     *  completed. */
     void buildHarness(std::size_t index, Harness &h);
     /** Close sinks and collect the session's outcome into h.res. */
     void finishHarness(Harness &h);
-    /** The lockstep ChipBatch drive (spec_.batched). */
-    FleetResult runBatched();
     /** The barrier-arbitrated lockstep drive (spec_.arbiter). */
     FleetResult runArbitrated(std::size_t n_threads);
     /** Rollup + throughput + record-file assembly shared by both

@@ -64,19 +64,6 @@ Sampler::collectInterval()
 void
 Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
 {
-    // The fused scalar path: identical to what a batched driver does
-    // with the three calls, with the chip stepped in between.
-    const std::size_t n_ticks = beginIntervalInto(rec);
-    for (std::size_t t = 0; t < n_ticks; ++t) {
-        chip_.stepInto(tick_);
-        consumeTick(rec, tick_);
-    }
-    finishIntervalInto(rec);
-}
-
-std::size_t
-Sampler::beginIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
-{
     const auto &cfg = chip_.config();
     const std::size_t n_cores = cfg.coreCount();
     const std::size_t nominal = cfg.ticks_per_interval;
@@ -94,7 +81,6 @@ Sampler::beginIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
         injector ? injector->jitterTicks(nominal) : nominal;
     health_.ticks = n_ticks;
     health_.timing_overrun = n_ticks != nominal;
-    interval_ticks_ = n_ticks;
 
     rec.duration_s = cfg.tick_s * static_cast<double>(n_ticks);
     rec.sensor_power_w = 0.0;
@@ -117,64 +103,47 @@ Sampler::beginIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
         rec.cu_vf[cu] = chip_.cuVf(cu);
     rec.nb_vf = chip_.nbVf();
 
-    sensor_sum_ = 0.0;
-    diode_sum_ = 0.0;
-    sensor_ok_ = 0;
-    diode_ok_ = 0;
-    return n_ticks;
-}
-
-void
-Sampler::consumeTick(trace::IntervalRecord &rec,
-                     const sim::TickResult &tick) PPEP_NONBLOCKING
-{
-    const std::size_t n_cores = chip_.config().coreCount();
-    // Per-sample sanity guards: reject NaN/Inf and physically
-    // impossible readings instead of folding them into the mean.
-    if (std::isfinite(tick.sensor_power_w) &&
-        tick.sensor_power_w >= policy_.min_power_w &&
-        tick.sensor_power_w <= policy_.max_power_w) {
-        sensor_sum_ += tick.sensor_power_w;
-        ++sensor_ok_;
-    } else {
-        ++health_.sensor_rejects;
+    double sensor_sum = 0.0;
+    double diode_sum = 0.0;
+    std::size_t sensor_ok = 0;
+    std::size_t diode_ok = 0;
+    for (std::size_t t = 0; t < n_ticks; ++t) {
+        chip_.stepInto(tick_);
+        // Per-sample sanity guards: reject NaN/Inf and physically
+        // impossible readings instead of folding them into the mean.
+        if (std::isfinite(tick_.sensor_power_w) &&
+            tick_.sensor_power_w >= policy_.min_power_w &&
+            tick_.sensor_power_w <= policy_.max_power_w) {
+            sensor_sum += tick_.sensor_power_w;
+            ++sensor_ok;
+        } else {
+            ++health_.sensor_rejects;
+        }
+        if (std::isfinite(tick_.diode_temp_k) &&
+            tick_.diode_temp_k >= policy_.min_temp_k &&
+            tick_.diode_temp_k <= policy_.max_temp_k) {
+            diode_sum += tick_.diode_temp_k;
+            ++diode_ok;
+        } else {
+            ++health_.diode_rejects;
+        }
+        rec.true_power_w += tick_.truth.power.total;
+        rec.true_dynamic_w += tick_.truth.power.coreDynamicTotal() +
+                              tick_.truth.power.nb_dynamic;
+        rec.true_idle_w += tick_.truth.power.base +
+                           tick_.truth.power.housekeeping +
+                           tick_.truth.power.nb_static +
+                           tick_.truth.power.cuIdleTotal();
+        rec.true_nb_power_w += tick_.truth.power.nb_static +
+                               tick_.truth.power.nb_dynamic;
+        rec.true_temp_k += tick_.truth.temperature_k;
+        rec.nb_utilization += tick_.truth.nb_utilization;
+        for (std::size_t c = 0; c < n_cores; ++c) {
+            for (std::size_t e = 0; e < sim::kNumEvents; ++e)
+                rec.oracle[c][e] += tick_.truth.core_events[c][e];
+            retired_[c] += tick_.truth.activity[c].instructions;
+        }
     }
-    if (std::isfinite(tick.diode_temp_k) &&
-        tick.diode_temp_k >= policy_.min_temp_k &&
-        tick.diode_temp_k <= policy_.max_temp_k) {
-        diode_sum_ += tick.diode_temp_k;
-        ++diode_ok_;
-    } else {
-        ++health_.diode_rejects;
-    }
-    rec.true_power_w += tick.truth.power.total;
-    rec.true_dynamic_w += tick.truth.power.coreDynamicTotal() +
-                          tick.truth.power.nb_dynamic;
-    rec.true_idle_w += tick.truth.power.base +
-                       tick.truth.power.housekeeping +
-                       tick.truth.power.nb_static +
-                       tick.truth.power.cuIdleTotal();
-    rec.true_nb_power_w += tick.truth.power.nb_static +
-                           tick.truth.power.nb_dynamic;
-    rec.true_temp_k += tick.truth.temperature_k;
-    rec.nb_utilization += tick.truth.nb_utilization;
-    for (std::size_t c = 0; c < n_cores; ++c) {
-        for (std::size_t e = 0; e < sim::kNumEvents; ++e)
-            rec.oracle[c][e] += tick.truth.core_events[c][e];
-        retired_[c] += tick.truth.activity[c].instructions;
-    }
-}
-
-void
-Sampler::finishIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
-{
-    const std::size_t n_cores = chip_.config().coreCount();
-    sim::FaultInjector *injector = chip_.faultInjector();
-    const std::size_t n_ticks = interval_ticks_;
-    const double sensor_sum = sensor_sum_;
-    const double diode_sum = diode_sum_;
-    const std::size_t sensor_ok = sensor_ok_;
-    const std::size_t diode_ok = diode_ok_;
 
     const double inv = 1.0 / static_cast<double>(n_ticks);
     rec.true_power_w *= inv;

@@ -108,7 +108,7 @@ struct SampleHealth
 };
 
 /** Hardened tick-accurate interval acquisition bound to one chip. */
-class Sampler : public trace::TickedIntervalSource
+class Sampler : public trace::IntervalSource
 {
   public:
     explicit Sampler(sim::Chip &chip, SamplerPolicy policy = {});
@@ -118,19 +118,6 @@ class Sampler : public trace::TickedIntervalSource
 
     /** Allocation-free collectInterval() (bit-identical records). */
     void collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
-        override;
-
-    // Split interval protocol for the batched fleet driver; the fused
-    // path above is these three calls with the chip stepped between
-    // them (bit-identical by construction). beginIntervalInto() also
-    // draws the fault injector's interval jitter, so it must run
-    // before the first tick exactly as the fused path does.
-    std::size_t beginIntervalInto(trace::IntervalRecord &rec)
-        PPEP_NONBLOCKING override;
-    void consumeTick(trace::IntervalRecord &rec,
-                     const sim::TickResult &tick) PPEP_NONBLOCKING
-        override;
-    void finishIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
         override;
 
     /** Health record of the most recent interval. */
@@ -151,13 +138,6 @@ class Sampler : public trace::TickedIntervalSource
     /** Per-interval scratch reused by collectIntervalInto(). */
     sim::TickResult tick_;
     std::vector<double> retired_;
-
-    // Open-interval accumulators shared by the fused and split paths.
-    std::size_t interval_ticks_ = 0;
-    double sensor_sum_ = 0.0;
-    double diode_sum_ = 0.0;
-    std::size_t sensor_ok_ = 0;
-    std::size_t diode_ok_ = 0;
 
     // Last-good state for substitution.
     std::vector<sim::EventVector> last_good_pmc_;

@@ -13,6 +13,9 @@ namespace ppep::runtime {
 
 namespace {
 
+/** The cap limit of an interval no arbiter constrains. */
+constexpr double kNoCapLimitW = std::numeric_limits<double>::max();
+
 std::vector<const workloads::Combination *>
 defaultTrainingCombos()
 {
@@ -71,7 +74,6 @@ struct Session::State
     std::size_t warmup = 0;
     bool warmed = false;
     bool was_cached = false;
-    std::size_t next_index = 0;
     /** lastPredictedPower() carried over to the interval it forecasts. */
     double pending_pred = std::numeric_limits<double>::quiet_NaN();
     // Tenant attribution; the attributor references cfg + the models,
@@ -98,9 +100,19 @@ struct Session::State
     trace::ReplaySource *replay = nullptr;
     double replay_time_s = 0.0;
     SampleHealth replay_health;
-    /** Plain sessions' splittable source for the batched fleet drive
-     *  (hardened sessions use their Sampler). */
-    std::optional<trace::Collector> batch_collector;
+
+    // The one persistent governed interval. The loop reads the source
+    // (the Sampler when hardened, otherwise the Collector; replay
+    // decodes frames in collect() instead) and is declared last so it
+    // dies before everything it references.
+    std::optional<trace::Collector> collector;
+    trace::IntervalSource *source = nullptr;
+    governor::GovernorStep step;
+    std::vector<std::size_t> next_vf;
+    /** Index of the interval in flight: telemetry's and the cap
+     *  schedule's, continuing across run()/drive() calls. */
+    std::size_t index = 0;
+    std::optional<governor::GovernorLoop> loop;
 
     /** The health record the current interval was observed with:
      *  decoded from the replay frame, or the live Sampler's. Only
@@ -457,6 +469,13 @@ Session::Builder::build()
     }
 
     state->replay = replay_;
+    if (state->sampler) {
+        state->source = &*state->sampler;
+    } else {
+        state->collector.emplace(*state->chip);
+        state->source = &*state->collector;
+    }
+    state->loop.emplace(*state->chip, *state->gov, *state->source);
 
     return Session(std::move(state));
 }
@@ -475,176 +494,52 @@ Session::Session(Session &&) noexcept = default;
 Session &Session::operator=(Session &&) noexcept = default;
 Session::~Session() = default;
 
-void
-Session::warmupIfNeeded()
+const governor::GovernorStep &
+Session::collect()
 {
     auto &s = *state_;
     if (s.replay) {
-        // The recording already warmed the run it captured; replaying
-        // a warm-up would consume governed frames.
-        s.warmed = true;
-        return;
+        replayFrame();
+        return s.step;
     }
-    if (!s.warmup || s.warmed)
-        return;
-    if (s.sampler) {
-        // Warm through the hardened path so its last-good state
-        // is primed before governed intervals begin.
+    if (!s.warmed) {
+        // Warm through the session's own source, so a hardened
+        // Sampler's last-good state is primed before governed
+        // intervals begin.
         for (std::size_t i = 0; i < s.warmup; ++i)
-            s.sampler->collectInterval();
-    } else {
-        trace::Collector warm(*s.chip);
-        warm.collect(s.warmup);
+            s.source->collectIntervalInto(s.step.rec);
+        s.warmed = true;
     }
-    s.warmed = true;
-}
-
-governor::GovernorLoop::StepObserver
-Session::makeObserver()
-{
-    State *sp = state_.get();
-    return [sp](const governor::GovernorStep &step, double latency_s) {
-        auto &s = *sp;
-        IntervalTelemetry t;
-        t.index = s.next_index++;
-        // Accumulated tick rounding can leave the first interval a hair
-        // below zero; clamp rather than report negative time. Replay
-        // serves the recorded timestamp: the chip never steps.
-        t.time_s =
-            s.replay
-                ? s.replay_time_s
-                : std::max(0.0, s.chip->timeS() - step.rec.duration_s);
-        t.rec = &step.rec;
-        t.cu_vf = &step.cu_vf;
-        t.cap_w = step.cap_w;
-        t.predicted_power_w = s.pending_pred;
-        t.exploration = s.gov->lastExploration();
-        t.decision_latency_s = latency_s;
-        t.health =
-            s.hasObservedHealth() ? &s.observedHealth() : nullptr;
-        t.degraded =
-            s.degraded_gov ? s.degraded_gov->degradedNow() : false;
-        if (s.monitor)
-            t.divergence_ewma_w = s.monitor->divergenceEwma();
-        // The decision that just ran governs the *next* interval; hold
-        // its forecast until that interval's record arrives. Captured
-        // before any model swap below, so the forecast stays paired
-        // with the governor that actually made the decision.
-        const double next_pred = s.gov->lastPredictedPower();
-        if (s.recal) {
-            // Feed the ring, resolve any due refit (re-pointing the
-            // degraded wrapper at the new generation and restarting
-            // the divergence EWMA), then consider a new trigger —
-            // adopt-before-trigger so a freshly reset EWMA cannot
-            // immediately re-dispatch.
-            s.recal->observeInterval(
-                step.rec, s.observedHealth().faultEvents() == 0,
-                t.index);
-            if (const auto *ver = s.recal->adoptIfDue(t.index)) {
-                s.degraded_gov->setInner(*ver->gov);
-                s.monitor->noteModelSwap();
-                t.divergence_ewma_w = s.monitor->divergenceEwma();
-                if (s.lineage_store)
-                    s.lineage_store->appendLineage(
-                        s.cfg.name, platformFingerprint(s.cfg),
-                        ver->generation, ver->parent_digest,
-                        ver->digest, "drift-refit",
-                        ver->trigger_interval, ver->cv_mae_w,
-                        ver->incumbent_ring_mae_w);
-            }
-            s.recal->maybeTrigger(step.rec,
-                                  s.monitor->divergenceEwma(),
-                                  t.index);
-            t.recal_active = true;
-            t.model_generation = s.recal->generation();
-            t.recal_triggers = s.recal->triggers();
-            t.recal_accepted = s.recal->accepted();
-            t.recal_rejected = s.recal->rejected();
-        }
-        if (s.attributor) {
-            s.attributor->attributeInto(step.rec, s.pg,
-                                        s.attribution);
-            t.tenants = &s.attribution;
-            t.tenant_names = &s.tenant_names;
-        }
-        for (auto *sink : s.sinks)
-            sink->onInterval(t);
-        s.pending_pred = next_pred;
-    };
+    s.loop->cycleBegin(s.index, s.schedule, s.step);
+    s.source->collectIntervalInto(s.step.rec);
+    return s.step;
 }
 
 void
-Session::finishSinks()
+Session::replayFrame()
 {
-    auto &s = *state_;
-    s.sink_errors.clear();
-    for (auto *sink : s.sinks) {
-        sink->finish();
-        // The explicit durability point of the sink contract: after
-        // run()/drive() returns, everything observed is on its medium.
-        sink->flush();
-        if (sink->failed()) {
-            PPEP_WARN("telemetry sink failed: ", sink->error());
-            s.sink_errors.push_back(sink->error());
-        }
-    }
-}
-
-std::vector<governor::GovernorStep>
-Session::run(std::size_t intervals)
-{
-    auto &s = *state_;
-    if (s.replay)
-        PPEP_FATAL("replay sessions support drive() only; run() "
-                   "retains a step trace the steady-state ingest path "
-                   "is built to avoid");
-    warmupIfNeeded();
-    governor::GovernorLoop loop =
-        s.sampler ? governor::GovernorLoop(*s.chip, *s.gov, *s.sampler)
-                  : governor::GovernorLoop(*s.chip, *s.gov);
-    auto steps = loop.run(intervals, s.schedule, makeObserver());
-    finishSinks();
-    return steps;
-}
-
-std::size_t
-Session::drive(std::size_t intervals)
-{
-    auto &s = *state_;
-    if (s.replay)
-        return driveReplay(intervals);
-    warmupIfNeeded();
-    governor::GovernorLoop loop =
-        s.sampler ? governor::GovernorLoop(*s.chip, *s.gov, *s.sampler)
-                  : governor::GovernorLoop(*s.chip, *s.gov);
-    const std::size_t ran = loop.drive(intervals, s.schedule,
-                                       makeObserver());
-    finishSinks();
-    return ran;
-}
-
-void
-Session::replayFrameInto(governor::GovernorStep &step, std::size_t index,
-                         double want_cap_w)
-{
+    // The recording already warmed the run it captured; replaying a
+    // warm-up would consume governed frames.
     auto &s = *state_;
     if (s.replay->done())
         PPEP_FATAL("replay stream exhausted after ",
                    s.replay->framesConsumed(), " frames at interval ",
-                   index);
-    s.replay->collectIntervalInto(step.rec);
+                   s.index);
+    s.replay->collectIntervalInto(s.step.rec);
     // The frame's telemetry context replaces what cycleBegin would
     // read off the chip. The recorded VF context equals what the
     // live run stamped from its chip at the same point, and the
     // recorded cap must agree with this session's schedule (and any
     // arbiter limit) or the governor would be reacting to caps the
     // record never ran.
-    step.cap_w = s.replay->frameCapW();
-    if (step.cap_w != want_cap_w)
-        PPEP_FATAL("replayed cap ", step.cap_w, " W at interval ",
-                   index, " does not match the session schedule's ",
+    const double want_cap_w =
+        std::min(s.schedule.capAt(s.index), s.loop->capLimit());
+    s.step.cap_w = s.replay->frameCapW();
+    if (s.step.cap_w != want_cap_w)
+        PPEP_FATAL("replayed cap ", s.step.cap_w, " W at interval ",
+                   s.index, " does not match the session schedule's ",
                    want_cap_w, " W");
-    step.cu_vf = step.rec.cu_vf;
+    s.step.cu_vf = s.step.rec.cu_vf;
     s.replay_time_s = s.replay->frameTimeS();
     if (s.replay->hasHealth()) {
         const trace::ReplayHealth &rh = s.replay->frameHealth();
@@ -670,144 +565,124 @@ Session::replayFrameInto(governor::GovernorStep &step, std::size_t index,
     }
 }
 
-std::size_t
-Session::driveReplay(std::size_t intervals)
+void
+Session::decide(double cap_limit_w)
 {
     auto &s = *state_;
-    s.warmed = true;
-    governor::GovernorLoop loop(*s.chip, *s.gov);
-    const auto observer = makeObserver();
-    governor::GovernorStep step;
-    std::vector<std::size_t> next_vf;
+    s.loop->setCapLimit(cap_limit_w);
+    double latency_s = 0.0;
+    s.loop->cycleDecide(s.index, s.schedule, s.step, s.next_vf,
+                        latency_s);
+    // The telemetry hand-off lives outside the loop's annotated
+    // region: AsyncTelemetrySink blocks by design.
+    observe(latency_s);
+    ++s.index;
+}
+
+void
+Session::observe(double decision_latency_s)
+{
+    auto &s = *state_;
+    const governor::GovernorStep &step = s.step;
+    IntervalTelemetry t;
+    t.index = s.index;
+    // Accumulated tick rounding can leave the first interval a hair
+    // below zero; clamp rather than report negative time. Replay
+    // serves the recorded timestamp: the chip never steps.
+    t.time_s = s.replay
+                   ? s.replay_time_s
+                   : std::max(0.0, s.chip->timeS() - step.rec.duration_s);
+    t.rec = &step.rec;
+    t.cu_vf = &step.cu_vf;
+    t.cap_w = step.cap_w;
+    t.predicted_power_w = s.pending_pred;
+    t.exploration = s.gov->lastExploration();
+    t.decision_latency_s = decision_latency_s;
+    t.health = s.hasObservedHealth() ? &s.observedHealth() : nullptr;
+    t.degraded = s.degraded_gov ? s.degraded_gov->degradedNow() : false;
+    if (s.monitor)
+        t.divergence_ewma_w = s.monitor->divergenceEwma();
+    // The decision that just ran governs the *next* interval; hold its
+    // forecast until that interval's record arrives. Captured before
+    // any model swap below, so the forecast stays paired with the
+    // governor that actually made the decision.
+    const double next_pred = s.gov->lastPredictedPower();
+    if (s.recal) {
+        // Feed the ring, resolve any due refit (re-pointing the
+        // degraded wrapper at the new generation and restarting the
+        // divergence EWMA), then consider a new trigger — adopt-before-
+        // trigger so a freshly reset EWMA cannot immediately
+        // re-dispatch.
+        s.recal->observeInterval(
+            step.rec, s.observedHealth().faultEvents() == 0, t.index);
+        if (const auto *ver = s.recal->adoptIfDue(t.index)) {
+            s.degraded_gov->setInner(*ver->gov);
+            s.monitor->noteModelSwap();
+            t.divergence_ewma_w = s.monitor->divergenceEwma();
+            if (s.lineage_store)
+                s.lineage_store->appendLineage(
+                    s.cfg.name, platformFingerprint(s.cfg),
+                    ver->generation, ver->parent_digest, ver->digest,
+                    "drift-refit", ver->trigger_interval, ver->cv_mae_w,
+                    ver->incumbent_ring_mae_w);
+        }
+        s.recal->maybeTrigger(step.rec, s.monitor->divergenceEwma(),
+                              t.index);
+        t.recal_active = true;
+        t.model_generation = s.recal->generation();
+        t.recal_triggers = s.recal->triggers();
+        t.recal_accepted = s.recal->accepted();
+        t.recal_rejected = s.recal->rejected();
+    }
+    if (s.attributor) {
+        s.attributor->attributeInto(step.rec, s.pg, s.attribution);
+        t.tenants = &s.attribution;
+        t.tenant_names = &s.tenant_names;
+    }
+    for (auto *sink : s.sinks)
+        sink->onInterval(t);
+    s.pending_pred = next_pred;
+}
+
+void
+Session::finishSinks()
+{
+    auto &s = *state_;
+    s.sink_errors.clear();
+    for (auto *sink : s.sinks) {
+        sink->finish();
+        // The explicit durability point of the sink contract: after
+        // run()/drive() returns, everything observed is on its medium.
+        sink->flush();
+        if (sink->failed()) {
+            PPEP_WARN("telemetry sink failed: ", sink->error());
+            s.sink_errors.push_back(sink->error());
+        }
+    }
+}
+
+std::vector<governor::GovernorStep>
+Session::run(std::size_t intervals)
+{
+    std::vector<governor::GovernorStep> steps;
+    steps.reserve(intervals);
     for (std::size_t i = 0; i < intervals; ++i) {
-        replayFrameInto(step, i, s.schedule.capAt(i));
-        double latency_s = 0.0;
-        loop.cycleDecide(i, s.schedule, step, next_vf, latency_s);
-        observer(step, latency_s);
+        steps.push_back(collect());
+        decide(kNoCapLimitW);
+    }
+    finishSinks();
+    return steps;
+}
+
+std::size_t
+Session::drive(std::size_t intervals)
+{
+    for (std::size_t i = 0; i < intervals; ++i) {
+        collect();
+        decide(kNoCapLimitW);
     }
     finishSinks();
     return intervals;
-}
-
-trace::TickedIntervalSource &
-Session::tickedSource()
-{
-    auto &s = *state_;
-    if (s.sampler)
-        return *s.sampler;
-    if (!s.batch_collector)
-        s.batch_collector.emplace(*s.chip);
-    return *s.batch_collector;
-}
-
-Session::BatchDriver::BatchDriver(Session &session)
-    : session_(session),
-      loop_(*session.state_->chip, *session.state_->gov),
-      observer_(session.makeObserver())
-{
-    PPEP_ASSERT(session.state_->replay == nullptr,
-                "a replay session has no chip to batch-step");
-    session.warmupIfNeeded();
-    source_ = &session.tickedSource();
-}
-
-sim::Chip &
-Session::BatchDriver::chip()
-{
-    return *session_.state_->chip;
-}
-
-std::size_t
-Session::BatchDriver::beginInterval() PPEP_NONBLOCKING
-{
-    loop_.cycleBegin(index_, session_.state_->schedule, step_);
-    return source_->beginIntervalInto(step_.rec);
-}
-
-void
-Session::BatchDriver::consumeTick(const sim::TickResult &tick)
-    PPEP_NONBLOCKING
-{
-    source_->consumeTick(step_.rec, tick);
-}
-
-void
-Session::BatchDriver::endInterval()
-{
-    source_->finishIntervalInto(step_.rec);
-    double latency_s = 0.0;
-    loop_.cycleDecide(index_, session_.state_->schedule, step_,
-                      next_vf_, latency_s);
-    // The observer hand-off lives outside the annotated region, same
-    // as run()/drive(): AsyncTelemetrySink blocks by design.
-    observer_(step_, latency_s);
-    ++index_;
-}
-
-void
-Session::BatchDriver::finish()
-{
-    session_.finishSinks();
-}
-
-Session::LockstepDriver::LockstepDriver(Session &session)
-    : session_(session),
-      loop_(*session.state_->chip, *session.state_->gov),
-      observer_(session.makeObserver())
-{
-    session.warmupIfNeeded();
-    if (session.state_->replay == nullptr)
-        source_ = &session.tickedSource();
-}
-
-void
-Session::LockstepDriver::collectPhase()
-{
-    auto &s = *session_.state_;
-    if (s.replay) {
-        session_.replayFrameInto(
-            step_, index_,
-            std::min(s.schedule.capAt(index_), loop_.capLimit()));
-        return;
-    }
-    loop_.cycleBegin(index_, s.schedule, step_);
-    source_->collectIntervalInto(step_.rec);
-}
-
-void
-Session::LockstepDriver::decidePhase()
-{
-    double latency_s = 0.0;
-    loop_.cycleDecide(index_, session_.state_->schedule, step_,
-                      next_vf_, latency_s);
-    // The observer hand-off lives outside the annotated region, same
-    // as run()/drive(): AsyncTelemetrySink blocks by design.
-    observer_(step_, latency_s);
-    ++index_;
-}
-
-void
-Session::LockstepDriver::setCapLimitW(double cap_w) PPEP_NONBLOCKING
-{
-    loop_.setCapLimit(cap_w);
-}
-
-const std::vector<model::VfPrediction> *
-Session::LockstepDriver::exploration() const PPEP_NONBLOCKING
-{
-    return session_.state_->gov->lastExploration();
-}
-
-double
-Session::LockstepDriver::measuredPowerW() const PPEP_NONBLOCKING
-{
-    return step_.rec.sensor_power_w;
-}
-
-void
-Session::LockstepDriver::finish()
-{
-    session_.finishSinks();
 }
 
 sim::Chip &

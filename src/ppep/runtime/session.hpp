@@ -19,10 +19,13 @@
  *                        .build();
  *     auto steps = session.run(40);
  *
- * The loop itself stays in governor::GovernorLoop (one canonical cycle);
- * the Session drives it and feeds its sinks through the loop's step
- * observer, adding per-decision wall-clock latency and the governor's
- * own predictions to the record.
+ * The session owns one persistent governed interval: a
+ * governor::GovernorLoop built once over its source, one reused step,
+ * and one interval index shared by telemetry and the cap schedule.
+ * Every interval — run(), drive(), replay, the arbitrated fleet — is
+ * the same collect half then decide half, and each completed step is
+ * fanned out to the sinks with its decision latency and the governor's
+ * own predictions.
  */
 
 #ifndef PPEP_RUNTIME_SESSION_HPP
@@ -199,7 +202,6 @@ class Session
          * at ReplaySource construction), and the recorded caps must
          * match this session's schedule (checked per interval). Warm-up
          * is skipped: the recording already warmed the run it captured.
-         * Replay sessions support drive() only.
          */
         Builder &replay(trace::ReplaySource &src);
 
@@ -249,108 +251,6 @@ class Session
         trace::ReplaySource *replay_ = nullptr;
     };
 
-    /**
-     * Splits one governed interval into begin / consumeTick-per-tick /
-     * end so an external driver (runtime::Fleet's batched mode) can
-     * step many sessions' chips tick-locked through one
-     * sim::ChipBatch. The sequence
-     *
-     *     n = d.beginInterval();
-     *     repeat n times { batch.step(); d.consumeTick(batch result); }
-     *     d.endInterval();
-     *
-     * is bit-identical to one interval of Session::drive(): begin and
-     * end wrap the same GovernorLoop cycle halves and the same
-     * TickedIntervalSource calls the fused path is made of, and the
-     * telemetry observer runs inside endInterval() exactly as drive()
-     * runs it. Construction runs the session's warm-up (scalar).
-     */
-    class BatchDriver
-    {
-      public:
-        explicit BatchDriver(Session &session);
-
-        /** The chip to attach to the ChipBatch. */
-        sim::Chip &chip();
-
-        /** Open interval; returns its tick count (may be jittered). */
-        std::size_t beginInterval() PPEP_NONBLOCKING;
-
-        /** Fold one batch-stepped tick into the open interval. */
-        void consumeTick(const sim::TickResult &tick) PPEP_NONBLOCKING;
-
-        /** Close the interval: decide, actuate, fan out telemetry. */
-        void endInterval();
-
-        /** End of run: finish()/flush() the session's sinks. */
-        void finish();
-
-      private:
-        Session &session_;
-        ppep::governor::GovernorLoop loop_;
-        ppep::governor::GovernorLoop::StepObserver observer_;
-        trace::TickedIntervalSource *source_ = nullptr;
-        ppep::governor::GovernorStep step_;
-        std::vector<std::size_t> next_vf_;
-        std::size_t index_ = 0;
-    };
-
-    /**
-     * Splits one governed interval into a collect phase and a decide
-     * phase so an external arbiter (runtime::Fleet's budget drive) can
-     * sit between them on a barrier:
-     *
-     *     d.collectPhase();                 // measure the interval
-     *     // barrier: arbiter reads exploration()/measuredPowerW()
-     *     d.setCapLimitW(arbiter cap);      // install the allocation
-     *     d.decidePhase();                  // decide, actuate, telemetry
-     *
-     * The two phases are exactly one interval of Session::drive() plus
-     * the movable cap limit: with the limit at +inf the sequence is
-     * bit-identical to drive(). Works for simulated, hardened, and
-     * replayed sessions alike (replay decodes recorded frames in the
-     * collect phase and re-checks the recorded cap against the
-     * schedule/limit pair). Construction runs the session's warm-up.
-     */
-    class LockstepDriver
-    {
-      public:
-        explicit LockstepDriver(Session &session);
-
-        /** Open interval @p index: stamp cap context and measure (or
-         *  decode the replay frame) into the step. */
-        void collectPhase();
-
-        /** Close the interval: decide under the current cap limit,
-         *  actuate, fan out telemetry, advance the index. */
-        void decidePhase();
-
-        /** Install the arbiter's watt allocation for the decisions
-         *  that follow (effective cap = min(schedule, limit)). */
-        void setCapLimitW(double cap_w) PPEP_NONBLOCKING;
-
-        /** The governor's per-VF exploration from its latest decide;
-         *  nullptr before the first decide or while degraded. */
-        const std::vector<model::VfPrediction> *exploration() const
-            PPEP_NONBLOCKING;
-
-        /** Measured chip power of the interval just collected. */
-        double measuredPowerW() const PPEP_NONBLOCKING;
-
-        /** End of run: finish()/flush() the session's sinks. */
-        void finish();
-
-      private:
-        Session &session_;
-        ppep::governor::GovernorLoop loop_;
-        ppep::governor::GovernorLoop::StepObserver observer_;
-        /** Null for replay sessions (frames come from the recording). */
-        trace::IntervalSource *source_ = nullptr;
-        ppep::governor::GovernorStep step_;
-        std::vector<std::size_t> next_vf_;
-        std::size_t index_ = 0;
-    };
-
     static Builder builder(sim::ChipConfig cfg);
 
     Session(Session &&) noexcept;
@@ -359,17 +259,18 @@ class Session
 
     /**
      * Run @p intervals governed intervals, fanning each completed step
-     * out to the attached sinks (and calling their finish() at the end).
-     * Repeatable; telemetry interval indices continue across calls.
+     * out to the attached sinks (and calling their finish() at the end),
+     * and return a copy of every step. Repeatable: interval indices —
+     * telemetry's and the cap schedule's alike — continue across calls.
      */
     std::vector<ppep::governor::GovernorStep> run(std::size_t intervals);
 
     /**
      * run() without retaining the step trace — the steady-state fleet
      * path. Telemetry fan-out, warm-up, sink finish()/flush() and index
-     * continuity are identical to run(); the loop reuses one internal
-     * step so a governed interval performs zero heap allocations once
-     * the scratch buffers are warm. Returns the number of intervals run.
+     * continuity are identical to run(); a warm session's interval
+     * performs zero heap allocations. Returns the number of intervals
+     * run.
      */
     std::size_t drive(std::size_t intervals);
 
@@ -421,26 +322,37 @@ class Session
     struct State;
     explicit Session(std::unique_ptr<State> state);
 
-    /** Run the configured warm-up once. */
-    void warmupIfNeeded();
-    /** The telemetry fan-out observer shared by run() and drive(). */
-    ppep::governor::GovernorLoop::StepObserver makeObserver();
+    // One governed interval is collect() then decide(). run(), drive()
+    // and the arbitrated fleet (which sits its barrier between the two
+    // halves) all go through this pair.
+
+    /**
+     * Stamp the cap and VF context and measure the interval into the
+     * session's step — or, for a replay session, decode the next frame
+     * and check its recorded cap. The first call runs the warm-up.
+     */
+    const ppep::governor::GovernorStep &collect();
+
+    /** collect() for a replay session: decode the next frame into the
+     *  step and verify its recorded cap against the schedule/limit. */
+    void replayFrame();
+
+    /**
+     * Decide the next interval under min(schedule, @p cap_limit_w),
+     * actuate, fan the step out to the sinks, and advance the interval
+     * index. The limit stays in force for the next collect().
+     */
+    void decide(double cap_limit_w);
+
+    /** Telemetry fan-out of the step decide() just completed. */
+    void observe(double decision_latency_s);
+
     /** finish()+flush() every sink; collect failures. */
     void finishSinks();
-    /** drive() over the attached ReplaySource (no simulation). */
-    std::size_t driveReplay(std::size_t intervals);
-    /** Decode the next replay frame into @p step and verify its
-     *  recorded cap matches @p want_cap_w (the schedule/limit pair in
-     *  force at @p index). Shared by driveReplay and LockstepDriver. */
-    void replayFrameInto(ppep::governor::GovernorStep &step,
-                         std::size_t index, double want_cap_w);
-    /** The session's splittable source (Sampler or batch Collector). */
-    trace::TickedIntervalSource &tickedSource();
 
     std::unique_ptr<State> state_;
     friend class Builder;
-    friend class BatchDriver;
-    friend class LockstepDriver;
+    friend class Fleet;
 };
 
 } // namespace ppep::runtime

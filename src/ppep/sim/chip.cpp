@@ -251,16 +251,6 @@ Chip::step()
 void
 Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
 {
-    // Pure composition of the three phases — the scalar golden
-    // reference ChipBatch must match bit for bit.
-    stepPhaseA(res);
-    stepPhaseB(res, nullptr);
-    stepPhaseC(res);
-}
-
-void
-Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
-{
     const double dt = cfg_.tick_s;
     const std::size_t n_cores = cfg_.coreCount();
 
@@ -294,7 +284,7 @@ Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
         cu_gated[cu] = pg_enabled_ && cuIdle(cu);
         all_gated = all_gated && cu_gated[cu];
     }
-    scratch_.nb_gated = pg_enabled_ && all_gated;
+    const bool nb_gated = pg_enabled_ && all_gated;
 
     // 2. Effective per-CU voltage/frequency.
     std::vector<double> &cu_volt = scratch_.cu_volt;
@@ -370,20 +360,6 @@ Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
         res.truth.activity[c] = act;
         res.truth.core_events[c] = act.events;
     }
-}
-
-void
-Chip::stepPhaseB(TickResult &res,
-                 const double *core_energy_nj) PPEP_NONBLOCKING
-{
-    const double dt = cfg_.tick_s;
-    const std::size_t n_cores = cfg_.coreCount();
-    const std::vector<bool> &cu_gated = scratch_.cu_gated;
-    const std::vector<double> &cu_volt = scratch_.cu_volt;
-    const std::vector<double> &cu_freq = scratch_.cu_freq;
-    const std::vector<double> &act_factor = scratch_.act_factor;
-    const NbResolution &nb_res = scratch_.nb_res;
-    const bool nb_gated = scratch_.nb_gated;
 
     // 5. Ground-truth power.
     std::vector<CorePowerInput> &pins = scratch_.pins;
@@ -400,7 +376,7 @@ Chip::stepPhaseB(TickResult &res,
     }
     hw_power_.computeInto(pins, cu_gated, nb_gated, cu_volt, cu_freq,
                           nb_.vf(), thermal_.temperature(), dt,
-                          res.truth.power, core_energy_nj);
+                          res.truth.power);
     if (injector_ && injector_->drifting()) {
         // Silicon aging: the whole true power decomposition wanders by
         // one multiplicative gain, so the trained models slowly go
@@ -424,13 +400,6 @@ Chip::stepPhaseB(TickResult &res,
     PPEP_RT_WARMUP_END
     res.truth.nb_gated = nb_gated;
     res.truth.nb_utilization = nb_res.utilization;
-}
-
-void
-Chip::stepPhaseC(TickResult &res) PPEP_NONBLOCKING
-{
-    const double dt = cfg_.tick_s;
-    const std::size_t n_cores = cfg_.coreCount();
 
     // 6. Thermal advance, then the observable readings.
     thermal_.step(res.truth.power.total, dt);

@@ -208,26 +208,6 @@ class Chip
     double effectiveCuVoltage(std::size_t cu) const PPEP_NONBLOCKING;
 
   private:
-    /** The batched stepper drives the tick phases individually. */
-    friend class ChipBatch;
-
-    /**
-     * stepInto() split into three phases so ChipBatch can interleave
-     * many chips' ticks around one shared SIMD pricing pass.
-     * stepInto() == A, B(nullptr), C by construction (pure code
-     * motion), so the scalar path stays the golden reference.
-     *
-     * A: VF landing, gating, rail resolution, NB contention, core
-     *    execution (fills res.truth.activity).
-     * B: ground-truth power; when @p core_energy_nj is non-null it
-     *    supplies each core's switched energy (nJ) instead of the
-     *    inline per-core loop — the batch kernel's output.
-     * C: thermal advance, sensor/diode sampling, PMC tick.
-     */
-    void stepPhaseA(TickResult &res) PPEP_NONBLOCKING;
-    void stepPhaseB(TickResult &res,
-                    const double *core_energy_nj) PPEP_NONBLOCKING;
-    void stepPhaseC(TickResult &res) PPEP_NONBLOCKING;
     /** True when both cores of a CU are idle (no runnable job). */
     bool cuIdle(std::size_t cu) const PPEP_NONBLOCKING;
 
@@ -275,8 +255,6 @@ class Chip
         std::vector<double> act_factor;
         std::vector<CorePowerInput> pins;
         NbResolution nb_res;
-        /** NB gate state carried from phase A to phase B. */
-        bool nb_gated = false;
     };
     StepScratch scratch_;
 };

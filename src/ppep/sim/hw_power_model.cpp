@@ -86,8 +86,7 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
                           const std::vector<double> &cu_voltage,
                           const std::vector<double> &cu_freq_ghz,
                           const VfState &nb_vf, double temp_k,
-                          double dt_s, PowerBreakdown &out,
-                          const double *core_energy_nj) const
+                          double dt_s, PowerBreakdown &out) const
     PPEP_NONBLOCKING
 {
     PPEP_ASSERT(cores.size() == cfg_.coreCount(), "core count mismatch");
@@ -138,20 +137,13 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
         // pipeline stages are clock gated on modern cores, so stall
         // cycles burn (almost) no extra clock power. This also keeps
         // the quantity inside the span of Eq. 3's regressors (retiring
-        // + discarded cycles are linear in E1/E7 via Eq. 5). A batched
-        // caller hands the identical quantity in, priced for all its
-        // chips' cores in one SIMD pass.
-        double energy_nj;
-        if (core_energy_nj != nullptr) {
-            energy_nj = core_energy_nj[c];
-        } else {
-            const double active_cycles = std::max(
-                0.0, act.cycles - act.events[eventIndex(
-                                      Event::DispatchStall)]);
-            energy_nj = active_cycles * p.busy_cycle_energy_nj;
-            for (std::size_t i = 0; i < kNumPowerEvents; ++i)
-                energy_nj += act.events[i] * p.event_energy_nj[i];
-        }
+        // + discarded cycles are linear in E1/E7 via Eq. 5).
+        const double active_cycles = std::max(
+            0.0,
+            act.cycles - act.events[eventIndex(Event::DispatchStall)]);
+        double energy_nj = active_cycles * p.busy_cycle_energy_nj;
+        for (std::size_t i = 0; i < kNumPowerEvents; ++i)
+            energy_nj += act.events[i] * p.event_energy_nj[i];
         out.core_dynamic[c] = energy_nj * 1e-9 / dt_s *
                               dynScale(in.voltage) * in.activity_factor;
 

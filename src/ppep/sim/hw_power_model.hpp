@@ -90,23 +90,13 @@ class HwPowerModel
     /**
      * compute() into a caller-owned breakdown, reusing its per-CU and
      * per-core vectors — the allocation-free per-tick path.
-     *
-     * @param core_energy_nj optional per-core switched energy (nJ) for
-     *        this tick, one entry per core; read only for busy cores.
-     *        When non-null it replaces the inline cycle/event pricing
-     *        loop — sim::ChipBatch computes the same quantity for many
-     *        chips in one SIMD pass and hands it back here. Must be
-     *        bitwise equal to the inline computation for digests to
-     *        match (same operation order, no FP contraction).
      */
     void computeInto(const std::vector<CorePowerInput> &cores,
                      const std::vector<bool> &cu_gated, bool nb_gated,
                      const std::vector<double> &cu_voltage,
                      const std::vector<double> &cu_freq_ghz,
                      const VfState &nb_vf, double temp_k, double dt_s,
-                     PowerBreakdown &out,
-                     const double *core_energy_nj = nullptr) const
-        PPEP_NONBLOCKING;
+                     PowerBreakdown &out) const PPEP_NONBLOCKING;
 
     /** CU leakage+clock power at the given point (before gating). */
     double cuIdlePower(double voltage, double freq_ghz,

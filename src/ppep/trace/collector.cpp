@@ -17,24 +17,11 @@ Collector::collectInterval()
 void
 Collector::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
 {
-    // The fused scalar path: identical to what a batched driver does
-    // with the three calls, with the chip stepped in between.
-    const std::size_t n_ticks = beginIntervalInto(rec);
-    for (std::size_t t = 0; t < n_ticks; ++t) {
-        chip_.stepInto(tick_);
-        consumeTick(rec, tick_);
-    }
-    finishIntervalInto(rec);
-}
-
-std::size_t
-Collector::beginIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
-{
     const auto &cfg = chip_.config();
     const std::size_t n_cores = cfg.coreCount();
-    interval_ticks_ = cfg.ticks_per_interval;
+    const std::size_t n_ticks = cfg.ticks_per_interval;
 
-    rec.duration_s = cfg.tick_s * static_cast<double>(interval_ticks_);
+    rec.duration_s = cfg.tick_s * static_cast<double>(n_ticks);
     rec.sensor_power_w = 0.0;
     rec.diode_temp_k = 0.0;
     rec.true_power_w = 0.0;
@@ -54,39 +41,30 @@ Collector::beginIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
     for (std::size_t cu = 0; cu < cfg.n_cus; ++cu)
         rec.cu_vf[cu] = chip_.cuVf(cu);
     rec.nb_vf = chip_.nbVf();
-    return interval_ticks_;
-}
 
-void
-Collector::consumeTick(IntervalRecord &rec,
-                       const sim::TickResult &tick) PPEP_NONBLOCKING
-{
-    const std::size_t n_cores = chip_.config().coreCount();
-    rec.sensor_power_w += tick.sensor_power_w;
-    rec.diode_temp_k += tick.diode_temp_k;
-    rec.true_power_w += tick.truth.power.total;
-    rec.true_dynamic_w += tick.truth.power.coreDynamicTotal() +
-                          tick.truth.power.nb_dynamic;
-    rec.true_idle_w += tick.truth.power.base +
-                       tick.truth.power.housekeeping +
-                       tick.truth.power.nb_static +
-                       tick.truth.power.cuIdleTotal();
-    rec.true_nb_power_w += tick.truth.power.nb_static +
-                           tick.truth.power.nb_dynamic;
-    rec.true_temp_k += tick.truth.temperature_k;
-    rec.nb_utilization += tick.truth.nb_utilization;
-    for (std::size_t c = 0; c < n_cores; ++c) {
-        for (std::size_t e = 0; e < sim::kNumEvents; ++e)
-            rec.oracle[c][e] += tick.truth.core_events[c][e];
-        retired_[c] += tick.truth.activity[c].instructions;
+    for (std::size_t t = 0; t < n_ticks; ++t) {
+        chip_.stepInto(tick_);
+        rec.sensor_power_w += tick_.sensor_power_w;
+        rec.diode_temp_k += tick_.diode_temp_k;
+        rec.true_power_w += tick_.truth.power.total;
+        rec.true_dynamic_w += tick_.truth.power.coreDynamicTotal() +
+                              tick_.truth.power.nb_dynamic;
+        rec.true_idle_w += tick_.truth.power.base +
+                           tick_.truth.power.housekeeping +
+                           tick_.truth.power.nb_static +
+                           tick_.truth.power.cuIdleTotal();
+        rec.true_nb_power_w += tick_.truth.power.nb_static +
+                               tick_.truth.power.nb_dynamic;
+        rec.true_temp_k += tick_.truth.temperature_k;
+        rec.nb_utilization += tick_.truth.nb_utilization;
+        for (std::size_t c = 0; c < n_cores; ++c) {
+            for (std::size_t e = 0; e < sim::kNumEvents; ++e)
+                rec.oracle[c][e] += tick_.truth.core_events[c][e];
+            retired_[c] += tick_.truth.activity[c].instructions;
+        }
     }
-}
 
-void
-Collector::finishIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
-{
-    const std::size_t n_cores = chip_.config().coreCount();
-    const double inv = 1.0 / static_cast<double>(interval_ticks_);
+    const double inv = 1.0 / static_cast<double>(n_ticks);
     rec.sensor_power_w *= inv;
     rec.diode_temp_k *= inv;
     rec.true_power_w *= inv;

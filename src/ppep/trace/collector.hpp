@@ -50,43 +50,8 @@ class IntervalSource
     }
 };
 
-/**
- * An IntervalSource whose interval is separable into begin / one
- * consumeTick per chip tick / finish — the contract the batched fleet
- * driver needs: it begins an interval on every session, steps all
- * their chips tick-locked through sim::ChipBatch, feeds each tick
- * result back, and finishes. For any implementation,
- *
- *     n = beginIntervalInto(rec);
- *     repeat n times { chip.stepInto(t); consumeTick(rec, t); }
- *     finishIntervalInto(rec);
- *
- * must be bit-identical to collectIntervalInto(rec) — the scalar path
- * is the same three calls fused (pure code motion).
- */
-class TickedIntervalSource : public IntervalSource
-{
-  public:
-    /**
-     * Open an interval: stamp the VF context, zero the accumulators,
-     * and size the record. Returns the number of ticks this interval
-     * runs (fault-jittered sources may deviate from the nominal).
-     */
-    virtual std::size_t beginIntervalInto(IntervalRecord &rec)
-        PPEP_NONBLOCKING = 0;
-
-    /** Fold one tick's results into the open interval. */
-    virtual void consumeTick(IntervalRecord &rec,
-                             const sim::TickResult &tick)
-        PPEP_NONBLOCKING = 0;
-
-    /** Close the interval: means, PMC read-out, busy-core count. */
-    virtual void finishIntervalInto(IntervalRecord &rec)
-        PPEP_NONBLOCKING = 0;
-};
-
 /** Tick-accurate interval collector bound to one chip. */
-class Collector : public TickedIntervalSource
+class Collector : public IntervalSource
 {
   public:
     explicit Collector(sim::Chip &chip);
@@ -96,13 +61,6 @@ class Collector : public TickedIntervalSource
 
     /** Allocation-free collectInterval() (bit-identical outputs). */
     void collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING override;
-
-    std::size_t beginIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
-        override;
-    void consumeTick(IntervalRecord &rec, const sim::TickResult &tick)
-        PPEP_NONBLOCKING override;
-    void finishIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
-        override;
 
     /** Collect @p n intervals back to back. */
     std::vector<IntervalRecord> collect(std::size_t n);
@@ -122,8 +80,6 @@ class Collector : public TickedIntervalSource
     /** Per-interval scratch reused by collectIntervalInto(). */
     sim::TickResult tick_;
     std::vector<double> retired_;
-    /** Tick count of the interval opened by beginIntervalInto(). */
-    std::size_t interval_ticks_ = 0;
 };
 
 } // namespace ppep::trace

@@ -255,6 +255,29 @@ TEST(Fleet, HeterogeneousBitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Fleet, EachPlatformTrainsOnTheCombinationsItCanHost)
+{
+    // An 8-instance combination fits the 8-core FX-8320 but not the
+    // 6-core Phenom II: each registry entry trains on the requested
+    // combinations its own chip can host instead of aborting.
+    const workloads::Combination *eight = nullptr;
+    for (const auto &c : workloads::allCombinations())
+        if (c.instances.size() == 8 && eight == nullptr)
+            eight = &c;
+    ASSERT_NE(eight, nullptr);
+
+    auto spec = baseSpec(2);
+    spec.training_combos->push_back(eight);
+    spec.store.reset();
+    spec.sessions[1].cfg = sim::phenomIIConfig();
+    spec.sessions[1].pg = false;
+    Fleet fleet(std::move(spec));
+    const auto res = fleet.run(2);
+    EXPECT_EQ(res.failed, 0u);
+    EXPECT_EQ(res.completed, 2u);
+    EXPECT_EQ(fleet.modelEntryCount(), 2u);
+}
+
 TEST(Fleet, HeterogeneousCsvHeadersMatchEachConfig)
 {
     namespace fs = std::filesystem;

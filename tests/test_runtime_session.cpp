@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -421,6 +422,46 @@ TEST(Session, TelemetryIndicesContinueAcrossRuns)
         rows.push_back(line);
     ASSERT_EQ(rows.size(), 5u);
     EXPECT_EQ(jsonField(rows.back(), "interval"), "4");
+}
+
+TEST(Session, CapScheduleContinuesAcrossRuns)
+{
+    // The schedule is indexed by the same session interval as the
+    // telemetry: run(3) then run(3) must govern exactly like run(6) —
+    // same caps, same decisions, same digest — including the decision
+    // at the seam, which plans for interval 3's 80 W cap.
+    const auto &s = Shared::get();
+    const governor::CapSchedule schedule(
+        {{0, std::numeric_limits<double>::max()}, {3, 80.0}});
+    auto build = [&](runtime::DigestSink &digest) {
+        return runtime::Session::builder(s.cfg)
+            .seed(123)
+            .pg(true)
+            .onePerCu(kMix)
+            .models(s.models)
+            .governor(runtime::cappingGovernor())
+            .schedule(schedule)
+            .sink(digest)
+            .build();
+    };
+
+    runtime::DigestSink whole_digest;
+    auto whole = build(whole_digest);
+    const auto six = whole.run(6);
+
+    runtime::DigestSink split_digest;
+    auto split = build(split_digest);
+    auto steps = split.run(3);
+    const auto second = split.run(3);
+    steps.insert(steps.end(), second.begin(), second.end());
+
+    ASSERT_EQ(steps.size(), six.size());
+    for (std::size_t i = 0; i < six.size(); ++i) {
+        EXPECT_EQ(steps[i].cap_w, schedule.capAt(i)) << "interval " << i;
+        EXPECT_EQ(steps[i].cap_w, six[i].cap_w) << "interval " << i;
+        EXPECT_EQ(steps[i].cu_vf, six[i].cu_vf) << "interval " << i;
+    }
+    EXPECT_EQ(split_digest.digest(), whole_digest.digest());
 }
 
 } // namespace

@@ -552,22 +552,16 @@ TEST(ZeroAllocReplay, WarmReplayIntervalIsAllocationFree)
 
     replayed.drive(5); // warm the decode scratch and governor buffers
 
-    // drive() pays a fixed setup cost per call that sits outside the
-    // warm path (see test_zero_alloc.cpp). Driving 1 interval and then
-    // 21 must allocate identically — the 20 extra warm replayed
-    // intervals touch the heap zero times.
-    g_news.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    replayed.drive(1);
-    g_counting.store(false, std::memory_order_relaxed);
-    const std::size_t setup = g_news.load(std::memory_order_relaxed);
-
-    g_news.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    replayed.drive(21);
-    g_counting.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(g_news.load(std::memory_order_relaxed), setup)
-        << "a warm replayed interval allocated";
+    // The session's interval state persists across calls, so a warm
+    // replayed drive(1) touches the heap zero times.
+    for (int i = 0; i < 22; ++i) {
+        g_news.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        replayed.drive(1);
+        g_counting.store(false, std::memory_order_relaxed);
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+            << "a warm replayed interval allocated";
+    }
 
     EXPECT_EQ(digest.intervals(), 27u);
 }

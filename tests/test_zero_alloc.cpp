@@ -268,25 +268,18 @@ TEST(ZeroAlloc, TenantSessionSteadyStateIntervalIsAllocationFree)
 
     session.drive(5); // warm every scratch buffer
 
-    // Session::drive() pays a fixed setup cost per call (loop and
-    // observer construction) that sits outside the warm path. The
-    // contract under test is the per-interval work: attribution,
-    // encoding, and digest fan-out. Driving 1 interval and then 21
-    // must allocate identically — the 20 extra warm intervals touch
-    // the heap zero times.
-    g_news.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    session.drive(1);
-    g_counting.store(false, std::memory_order_relaxed);
-    const std::size_t setup = g_news.load(std::memory_order_relaxed);
-
-    g_news.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    session.drive(21);
-    g_counting.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(g_news.load(std::memory_order_relaxed), setup)
-        << "a warm governed interval with tenant attribution "
-           "allocated";
+    // The session's interval state persists across calls, so a warm
+    // drive(1) — attribution, encoding, digest fan-out, sink flush —
+    // touches the heap zero times.
+    for (int i = 0; i < 20; ++i) {
+        g_news.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        session.drive(1);
+        g_counting.store(false, std::memory_order_relaxed);
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+            << "a warm governed interval with tenant attribution "
+               "allocated";
+    }
 }
 
 TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
@@ -329,19 +322,15 @@ TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
 
     session.drive(5); // warm the post-swap scratch
 
-    g_news.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    session.drive(1);
-    g_counting.store(false, std::memory_order_relaxed);
-    const std::size_t setup = g_news.load(std::memory_order_relaxed);
-
-    g_news.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    session.drive(21);
-    g_counting.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(g_news.load(std::memory_order_relaxed), setup)
-        << "a warm governed interval on a recalibrated session "
-           "allocated";
+    for (int i = 0; i < 20; ++i) {
+        g_news.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        session.drive(1);
+        g_counting.store(false, std::memory_order_relaxed);
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+            << "a warm governed interval on a recalibrated session "
+               "allocated";
+    }
 }
 
 TEST(ZeroAlloc, ArbiterGatherDecideIsAllocationFreeOnceConfigured)

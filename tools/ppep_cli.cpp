@@ -69,7 +69,6 @@ struct Options
     std::size_t tenants = 0;
     std::string faults;
     bool recalibrate = false;
-    bool batched = false;
     std::string record_path;
     std::string replay_path;
     double budget_w = 0.0; // 0 = no arbitration
@@ -114,9 +113,6 @@ usage(int code)
         "        [--recalibrate]      refit the dynamic-power weights\n"
         "                             online when divergence climbs and\n"
         "                             hot-swap the accepted model in\n"
-        "        [--batched]          step all sessions' chips through\n"
-        "                             one SIMD batch (bit-identical\n"
-        "                             telemetry, one thread)\n"
         "        [--record FILE]      record every session's interval\n"
         "                             stream into a replay file\n"
         "        [--replay FILE]      govern from a recorded file with\n"
@@ -193,8 +189,6 @@ parse(int argc, char **argv)
             opt.faults = next();
         else if (arg == "--recalibrate")
             opt.recalibrate = true;
-        else if (arg == "--batched")
-            opt.batched = true;
         else if (arg == "--record")
             opt.record_path = next();
         else if (arg == "--replay")
@@ -624,7 +618,6 @@ cmdFleet(const Options &opt)
     }
     if (opt.recalibrate)
         spec.default_recalibration.emplace();
-    spec.batched = opt.batched;
     spec.record_path = opt.record_path;
     spec.replay_path = opt.replay_path;
 
@@ -638,12 +631,6 @@ cmdFleet(const Options &opt)
         return 1;
     }
     if (opt.budget_w > 0.0) {
-        if (opt.batched) {
-            std::fprintf(stderr, "fleet: --budget is incompatible with "
-                                 "--batched (the arbitrated drive is "
-                                 "its own lockstep)\n");
-            return 1;
-        }
         runtime::ArbiterSpec aspec;
         std::vector<std::pair<std::size_t, double>> points = {
             {0, opt.budget_w}};
@@ -751,9 +738,8 @@ cmdFleet(const Options &opt)
                     opt.replay_path.c_str());
     else
         std::printf("running %zu sessions x %zu intervals on %zu "
-                    "thread(s)%s...\n",
-                    n_sessions, opt.intervals, opt.threads,
-                    opt.batched ? " (batched SIMD drive)" : "");
+                    "thread(s)...\n",
+                    n_sessions, opt.intervals, opt.threads);
     const auto res = fleet.run(opt.threads);
 
     util::Table t("\nFleet sessions:");

@@ -118,7 +118,6 @@ HOT_FILES = {
     "runtime/sampler.cpp", "runtime/sampler.hpp",
     "runtime/health.cpp", "runtime/health.hpp",
     "sim/chip.cpp", "sim/chip.hpp",
-    "sim/chip_batch.cpp", "sim/chip_batch.hpp",
     "sim/core_model.cpp", "sim/core_model.hpp",
     "sim/northbridge.cpp", "sim/northbridge.hpp",
     "sim/hw_power_model.cpp", "sim/hw_power_model.hpp",
