@@ -29,15 +29,6 @@ namespace ppep::bench {
 /** Seed shared by every bench binary. */
 inline constexpr std::uint64_t kSeed = 2014; // MICRO 2014
 
-/**
- * BenchJson schema version. Bump when the committed BENCH_*.json
- * layout changes shape (not when rows are merely added): --check modes
- * refuse to compare against a baseline written by a different schema,
- * with a clear "regenerate" message, instead of silently reading NaNs.
- * Version 1 is the original, unversioned layout.
- */
-inline constexpr int kBenchSchemaVersion = 2;
-
 /** Print a bench header. */
 inline void
 header(const std::string &what, const std::string &paper_ref)
@@ -91,10 +82,10 @@ trainModels(const sim::ChipConfig &cfg)
 
 /**
  * Tiny machine-readable bench emitter with a stable schema, shared by
- * the bench binaries that persist results (bench_fleet,
+ * the bench binaries that persist results (bench_explore,
  * bench_overhead):
  *
- *     {"bench": "<bench>", "schema": <kBenchSchemaVersion>,
+ *     {"bench": "<bench>",
  *      "results": [
  *        {"name": "...", "metric": "...", "value": <num>,
  *         "unit": "...", "threads": <int>},
@@ -125,9 +116,7 @@ class BenchJson
             std::fprintf(stderr, "cannot open %s\n", path_.c_str());
             return false;
         }
-        out << "{\"bench\": \"" << bench_
-            << "\", \"schema\": " << kBenchSchemaVersion
-            << ",\n \"results\": [";
+        out << "{\"bench\": \"" << bench_ << "\",\n \"results\": [";
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const Row &r = rows_[i];
             char value[util::fmt::kMaxDoubleChars + 1];
@@ -181,21 +170,6 @@ baselineValue(const std::string &json, const std::string &metric)
     if (pos == std::string::npos)
         return std::numeric_limits<double>::quiet_NaN();
     return std::strtod(json.c_str() + pos + vtag.size(), nullptr);
-}
-
-/**
- * Schema version of a committed baseline file. Files written before
- * versioning carry no "schema" field and report 1.
- */
-inline int
-baselineSchema(const std::string &json)
-{
-    const std::string tag = "\"schema\": ";
-    const auto pos = json.find(tag);
-    if (pos == std::string::npos)
-        return 1;
-    return static_cast<int>(
-        std::strtol(json.c_str() + pos + tag.size(), nullptr, 10));
 }
 
 } // namespace ppep::bench

@@ -198,7 +198,7 @@ class GovernorLoop
      *  This is the annotated real-time region: everything reached from
      *  here must be PPEP_NONBLOCKING or an explicit rt-escape. The
      *  observer hand-off lives in run()/drive(), outside the region,
-     *  because AsyncTelemetrySink blocks by design (backpressure). */
+     *  because sinks such as CsvSink perform blocking stream I/O. */
     void cycle(std::size_t index, const CapSchedule &schedule,
                trace::IntervalSource &source, GovernorStep &step,
                std::vector<std::size_t> &next_vf,

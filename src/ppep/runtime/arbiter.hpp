@@ -14,8 +14,9 @@
  * priority weights, SLO floors, hierarchical tier budgets
  * (rack -> node), and hysteresis so caps don't thrash. The retained
  * IterativeFleetArbiter steps caps reactively from measured power, the
- * fleet-scale equivalent of governor/iterative_capping, so bench_fleet
- * can reproduce the Fig. 7 comparison at fleet scale.
+ * fleet-scale equivalent of governor/iterative_capping, so
+ * `ppep fleet --arbiter iterative` and test_runtime_arbiter can
+ * reproduce the Fig. 7 comparison at fleet scale.
  *
  * Determinism contract: decide() is a pure function of the gathered
  * rows, the measured powers, and the arbiter's own per-session state.
@@ -354,7 +355,8 @@ class BudgetArbiter final : public FleetArbiter
  * split, step every cap down by step_w while the measured fleet power
  * exceeds the budget, step back up only when measured power leaves
  * raise_margin_w of slack. Converges over several intervals after a
- * budget drop — the Fig. 7 comparison point for bench_fleet.
+ * budget drop — the Fig. 7 comparison point for the single-pass
+ * BudgetArbiter.
  */
 class IterativeFleetArbiter final : public FleetArbiter
 {

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "ppep/model/trainer.hpp"
-#include "ppep/runtime/async_telemetry.hpp"
 #include "ppep/util/logging.hpp"
 #include "ppep/workloads/suite.hpp"
 
@@ -40,18 +39,21 @@ defaultTrainingCombos()
 /**
  * Run @p f, recording anything it throws into @p res.error instead of
  * letting it escape: a failing session must not take the pool down.
+ * Returns false when @p f threw.
  */
 template <typename F>
-void
+bool
 captureFailure(FleetSessionResult &res, F &&f)
 {
     try {
         f();
+        return true;
     } catch (const std::exception &e) {
         res.error = e.what();
     } catch (...) {
         res.error = "unknown exception";
     }
+    return false;
 }
 
 /** Run work(w) for every w < @p workers, each on its own thread (or
@@ -192,9 +194,11 @@ struct Fleet::Harness
     SummarySink summary;
     DigestSink digest;
     std::unique_ptr<CsvSink> csv;
-    std::unique_ptr<AsyncTelemetrySink> async_csv;
     std::optional<trace::ReplaySource> replay;
     std::optional<Session> session;
+    /** Arbitrated drive: set once building or driving the session
+     *  threw; the reason is in res.error. */
+    bool failed = false;
 };
 
 void
@@ -208,8 +212,6 @@ Fleet::buildHarness(std::size_t index, Harness &h)
         const auto path =
             std::filesystem::path(spec_.csv_dir) / (ss.name + ".csv");
         h.csv = std::make_unique<CsvSink>(path.string());
-        if (spec_.async_telemetry)
-            h.async_csv = std::make_unique<AsyncTelemetrySink>(*h.csv);
     }
 
     const ModelEntry &entry = entryOf(index);
@@ -224,9 +226,7 @@ Fleet::buildHarness(std::size_t index, Harness &h)
                        .warmup(spec_.warmup)
                        .sink(h.summary)
                        .sink(h.digest);
-    if (h.async_csv)
-        builder.sink(*h.async_csv);
-    else if (h.csv)
+    if (h.csv)
         builder.sink(*h.csv);
     if (!spec_.record_path.empty()) {
         // A hardened session's frames carry the health block: the
@@ -285,9 +285,7 @@ void
 Fleet::finishHarness(Harness &h)
 {
     h.res.sink_errors = h.session->sinkErrors();
-    if (h.async_csv)
-        h.async_csv->close();
-    else if (h.csv)
+    if (h.csv)
         h.csv->close();
     h.res.summary = h.summary.summary();
     h.res.telemetry_digest = h.digest.digest();
@@ -367,14 +365,16 @@ Fleet::runArbitrated(std::size_t n_threads)
 
     // Build every harness on this thread; a session that fails to
     // build is recorded, excluded from the lockstep, and enters the
-    // arbiter with priority 0 so it draws no budget.
+    // arbiter with priority 0 so it draws no budget. A session that
+    // throws later, inside the lockstep, keeps its lane and is
+    // gathered blind for the remaining intervals.
     std::vector<std::unique_ptr<Harness>> harnesses(n_sessions);
     std::vector<clock::time_point> started(n_sessions);
     for (std::size_t i = 0; i < n_sessions; ++i) {
         started[i] = clock::now();
         harnesses[i] = std::make_unique<Harness>();
         Harness &h = *harnesses[i];
-        captureFailure(h.res, [&] { buildHarness(i, h); });
+        h.failed = !captureFailure(h.res, [&] { buildHarness(i, h); });
     }
 
     std::vector<FleetArbiter::SessionSetup> setups(n_sessions);
@@ -383,7 +383,7 @@ Fleet::runArbitrated(std::size_t n_threads)
     for (std::size_t i = 0; i < n_sessions; ++i) {
         const FleetSessionSpec &ss = spec_.sessions[i];
         auto &su = setups[i];
-        if (harnesses[i]->session) {
+        if (!harnesses[i]->failed) {
             su.priority = ss.priority;
             su.slo_floor_w = ss.slo_floor_w;
             live.push_back(i);
@@ -454,17 +454,28 @@ Fleet::runArbitrated(std::size_t n_threads)
             for (std::size_t iv = 0; iv < spec_.intervals; ++iv) {
                 for (std::size_t k = lo; k < hi; ++k) {
                     const std::size_t i = live[k];
-                    Session &session = *harnesses[i]->session;
-                    const auto &step = session.collect();
-                    const auto *ex = session.policy().lastExploration();
-                    arbiter->gather(i, ex ? ex->data() : nullptr,
-                                    ex ? ex->size() : 0,
-                                    step.rec.sensor_power_w);
+                    Harness &h = *harnesses[i];
+                    if (!h.failed)
+                        h.failed = !captureFailure(h.res, [&] {
+                            Session &session = *h.session;
+                            const auto &step = session.collect();
+                            const auto *ex =
+                                session.policy().lastExploration();
+                            arbiter->gather(i, ex ? ex->data() : nullptr,
+                                            ex ? ex->size() : 0,
+                                            step.rec.sensor_power_w);
+                        });
+                    if (h.failed) // dead session: its lane goes blind
+                        arbiter->gather(i, nullptr, 0, 0.0);
                 }
                 bar.arrive_and_wait();
                 for (std::size_t k = lo; k < hi; ++k) {
                     const std::size_t i = live[k];
-                    harnesses[i]->session->decide(arbiter->capOf(i));
+                    Harness &h = *harnesses[i];
+                    if (!h.failed)
+                        h.failed = !captureFailure(h.res, [&] {
+                            h.session->decide(arbiter->capOf(i));
+                        });
                 }
             }
         });
@@ -474,7 +485,7 @@ Fleet::runArbitrated(std::size_t n_threads)
         static_cast<double>(std::max<std::size_t>(1, spec_.intervals));
     for (std::size_t i = 0; i < n_sessions; ++i) {
         Harness &h = *harnesses[i];
-        if (h.session) {
+        if (!h.failed) {
             h.session->finishSinks();
             h.res.intervals = spec_.intervals;
             finishHarness(h);

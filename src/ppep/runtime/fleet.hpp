@@ -116,9 +116,6 @@ struct FleetSpec
     /** When non-empty, write one CSV trace per session into this
      *  directory (`<name>.csv`), created on demand. */
     std::string csv_dir;
-    /** Put each session's CSV behind an AsyncTelemetrySink so stream
-     *  writes happen off the governing thread. */
-    bool async_telemetry = false;
     /** When non-empty, record every session's governed interval stream
      *  into this replay file (written after the run completes). */
     std::string record_path;

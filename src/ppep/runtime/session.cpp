@@ -574,7 +574,7 @@ Session::decide(double cap_limit_w)
     s.loop->cycleDecide(s.index, s.schedule, s.step, s.next_vf,
                         latency_s);
     // The telemetry hand-off lives outside the loop's annotated
-    // region: AsyncTelemetrySink blocks by design.
+    // region: sinks such as CsvSink perform blocking stream I/O.
     observe(latency_s);
     ++s.index;
 }

@@ -127,16 +127,15 @@ class TelemetrySink
     /**
      * Durability point: everything observed so far is pushed through to
      * the underlying medium before flush() returns — buffered writers
-     * flush their stream, async sinks drain their queue and flush the
-     * sink they wrap. Callable at any point between intervals, any
+     * flush their stream. Callable at any point between intervals, any
      * number of times. Default is a no-op (unbuffered sinks).
      */
     virtual void flush() {}
 
     /**
-     * Terminal: flush, then release resources (writer threads, owned
-     * files). Idempotent. After close() returns the caller must not
-     * deliver further onInterval() calls; failed()/error() stay valid.
+     * Terminal: flush, then release resources (owned files).
+     * Idempotent. After close() returns the caller must not deliver
+     * further onInterval() calls; failed()/error() stay valid.
      * Destruction implies close(). Default forwards to flush().
      */
     virtual void close() { flush(); }

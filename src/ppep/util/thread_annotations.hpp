@@ -2,10 +2,10 @@
  * @file
  * Clang Thread Safety Analysis annotations for the concurrency surface.
  *
- * The runtime carries five distinct concurrency disciplines — the
- * AsyncTelemetrySink bounded ring, the Recalibrator worker mailbox and
- * RCU-style hot swap, ModelStore's per-path lock registry, the Fleet
- * thread pool, and the BudgetArbiter barrier lockstep. Until this
+ * The runtime carries four distinct concurrency disciplines — the
+ * Recalibrator worker mailbox and RCU-style hot swap, ModelStore's
+ * per-path lock registry, the Fleet thread pool, and the BudgetArbiter
+ * barrier lockstep. Until this
  * header, every locking invariant behind them was enforced only
  * dynamically (the TSan CI job) and by comments. These macros map onto
  * Clang's Thread Safety Analysis attributes so the invariants become

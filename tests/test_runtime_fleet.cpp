@@ -12,11 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "ppep/model/ppep.hpp"
-#include "ppep/runtime/async_telemetry.hpp"
 #include "ppep/runtime/fleet.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
@@ -162,32 +160,55 @@ TEST(Fleet, PerSessionFaultPlansAreIsolated)
 
 TEST(Fleet, ThrowingSessionDoesNotSinkThePool)
 {
-    auto spec = baseSpec(4);
-    spec.sessions[2].governor = [](const runtime::ModelContext &)
-        -> std::unique_ptr<ppep::governor::Governor> {
-        class Throwing : public ppep::governor::Governor
-        {
-          public:
-            std::vector<std::size_t>
-            decide(const trace::IntervalRecord &, double) override
+    // Free-running and arbitrated lockstep alike: the throwing session
+    // is recorded as failed, and the others run every interval with
+    // the same digests at any worker count.
+    for (const bool arbitrated : {false, true}) {
+        SCOPED_TRACE(arbitrated ? "arbitrated" : "free-running");
+        auto spec = baseSpec(4);
+        spec.sessions[2].governor = [](const runtime::ModelContext &)
+            -> std::unique_ptr<ppep::governor::Governor> {
+            class Throwing : public ppep::governor::Governor
             {
-                throw std::runtime_error("injected governor failure");
-            }
-            std::string name() const override { return "throwing"; }
+              public:
+                std::vector<std::size_t>
+                decide(const trace::IntervalRecord &, double) override
+                {
+                    throw std::runtime_error(
+                        "injected governor failure");
+                }
+                std::string name() const override { return "throwing"; }
+            };
+            return std::make_unique<Throwing>();
         };
-        return std::make_unique<Throwing>();
-    };
+        if (arbitrated) {
+            runtime::ArbiterSpec a;
+            a.budget = ppep::governor::CapSchedule(120.0);
+            spec.arbiter = std::move(a);
+        }
 
-    Fleet fleet(std::move(spec));
-    const auto res = fleet.run(2);
-    EXPECT_EQ(res.completed, 3u);
-    EXPECT_EQ(res.failed, 1u);
-    EXPECT_FALSE(res.sessions[2].completed);
-    EXPECT_NE(res.sessions[2].error.find("injected governor failure"),
-              std::string::npos);
-    for (const std::size_t i : {0, 1, 3}) {
-        EXPECT_TRUE(res.sessions[i].completed) << "session " << i;
-        EXPECT_EQ(res.sessions[i].intervals, 6u);
+        Fleet fleet(std::move(spec));
+        std::vector<std::uint64_t> first_digests;
+        for (const std::size_t threads : {1, 2}) {
+            const auto res = fleet.run(threads);
+            EXPECT_EQ(res.completed, 3u) << threads << " threads";
+            EXPECT_EQ(res.failed, 1u) << threads << " threads";
+            EXPECT_FALSE(res.sessions[2].completed);
+            EXPECT_NE(
+                res.sessions[2].error.find("injected governor failure"),
+                std::string::npos);
+            std::vector<std::uint64_t> digests;
+            for (const std::size_t i : {0, 1, 3}) {
+                EXPECT_TRUE(res.sessions[i].completed) << "session " << i;
+                EXPECT_EQ(res.sessions[i].intervals, 6u);
+                digests.push_back(res.sessions[i].telemetry_digest);
+            }
+            if (first_digests.empty())
+                first_digests = digests;
+            EXPECT_EQ(digests, first_digests) << threads << " threads";
+            EXPECT_EQ(res.arbiter.active, arbitrated);
+            EXPECT_EQ(res.arbiter.cap_sum_violations, 0u);
+        }
     }
 }
 
@@ -316,88 +337,6 @@ TEST(Fleet, HeterogeneousCsvHeadersMatchEachConfig)
     EXPECT_NE(phenom.find("core5_ips"), std::string::npos);
     EXPECT_EQ(phenom.find("core6_ips"), std::string::npos);
     EXPECT_EQ(phenom.find("tenant_"), std::string::npos);
-}
-
-TEST(Fleet, AsyncTelemetryMatchesSyncCsv)
-{
-    namespace fs = std::filesystem;
-    const std::string sync_dir =
-        ::testing::TempDir() + "ppep_fleet_sync";
-    const std::string async_dir =
-        ::testing::TempDir() + "ppep_fleet_async";
-    fs::remove_all(sync_dir);
-    fs::remove_all(async_dir);
-
-    auto sync_spec = baseSpec(2);
-    sync_spec.csv_dir = sync_dir;
-    Fleet sync_fleet(std::move(sync_spec));
-    ASSERT_EQ(sync_fleet.run(2).failed, 0u);
-
-    auto async_spec = baseSpec(2);
-    async_spec.csv_dir = async_dir;
-    async_spec.async_telemetry = true;
-    Fleet async_fleet(std::move(async_spec));
-    ASSERT_EQ(async_fleet.run(2).failed, 0u);
-
-    // The async writer must not reorder, drop, or alter rows. The
-    // decision_latency_us column is wall clock, so it is located from
-    // the (config-derived) header and blanked before comparing.
-    const auto normalized = [](const std::string &path) {
-        std::ifstream in(path);
-        EXPECT_TRUE(in.is_open()) << path;
-        std::string out, line;
-        std::size_t latency_col = std::string::npos;
-        while (std::getline(in, line)) {
-            std::vector<std::string> fields;
-            std::stringstream row(line);
-            for (std::string f; std::getline(row, f, ',');)
-                fields.push_back(f);
-            if (latency_col == std::string::npos)
-                for (std::size_t i = 0; i < fields.size(); ++i)
-                    if (fields[i] == "decision_latency_us")
-                        latency_col = i;
-            EXPECT_NE(latency_col, std::string::npos) << path;
-            if (fields.size() > latency_col)
-                fields[latency_col] = "x";
-            for (std::size_t i = 0; i < fields.size(); ++i)
-                out += (i ? "," : "") + fields[i];
-            out += '\n';
-        }
-        return out;
-    };
-    for (const std::string name : {"s0", "s1"}) {
-        const auto sa = normalized(sync_dir + "/" + name + ".csv");
-        const auto sb = normalized(async_dir + "/" + name + ".csv");
-        EXPECT_GT(sa.size(), 100u) << name;
-        EXPECT_EQ(sa, sb) << name;
-    }
-}
-
-TEST(Fleet, AsyncTelemetryAccountsEncodeTime)
-{
-    trace::IntervalRecord rec;
-    rec.duration_s = 0.2;
-    rec.sensor_power_w = 40.0;
-    rec.diode_temp_k = 320.0;
-    rec.pmc.resize(1);
-    const std::vector<std::size_t> cu_vf = {1, 2};
-    runtime::IntervalTelemetry t;
-    t.rec = &rec;
-    t.cu_vf = &cu_vf;
-
-    std::ostringstream out;
-    runtime::CsvSink csv(out);
-    runtime::AsyncTelemetrySink async(csv, 4);
-    EXPECT_EQ(async.encodedIntervals(), 0u);
-    for (std::size_t i = 0; i < 16; ++i) {
-        t.index = i;
-        async.onInterval(t);
-    }
-    async.flush(); // drained: every interval has been handed off
-    EXPECT_EQ(async.encodedIntervals(), 16u);
-    EXPECT_GE(async.encodeSeconds(), 0.0);
-    async.close();
-    EXPECT_EQ(async.encodedIntervals(), 16u);
 }
 
 } // namespace

@@ -26,6 +26,8 @@
  */
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +35,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -142,6 +145,30 @@ usage(int code)
     std::exit(code);
 }
 
+/**
+ * Parse all of @p text as the value of @p flag: digits only for the
+ * unsigned counts, a finite number for watts and weights. Anything
+ * else (a trailing suffix, a sign on a count, overflow, inf/nan) names
+ * the flag and value, then exits through usage(1).
+ */
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = ec == std::errc{} && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::fprintf(stderr, "bad value '%s' for %s\n", text.c_str(),
+                     flag);
+        usage(1);
+    }
+    return value;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -168,23 +195,23 @@ parse(int argc, char **argv)
         else if (arg == "-b" || arg == "--benchmark")
             opt.benchmark = next();
         else if (arg == "-n" || arg == "--copies")
-            opt.copies = std::stoul(next());
+            opt.copies = parseNumber<std::size_t>(arg.c_str(), next());
         else if (arg == "--seed")
-            opt.seed = std::stoull(next());
+            opt.seed = parseNumber<std::uint64_t>(arg.c_str(), next());
         else if (arg == "--quick")
             opt.quick = true;
         else if (arg == "--nb-whatif")
             opt.nb_whatif = true;
         else if (arg == "--fleet")
-            opt.fleet_sessions = std::stoul(next());
+            opt.fleet_sessions = parseNumber<std::size_t>(arg.c_str(), next());
         else if (arg == "--threads")
-            opt.threads = std::stoul(next());
+            opt.threads = parseNumber<std::size_t>(arg.c_str(), next());
         else if (arg == "--intervals")
-            opt.intervals = std::stoul(next());
+            opt.intervals = parseNumber<std::size_t>(arg.c_str(), next());
         else if (arg == "--mix")
             opt.mix = next();
         else if (arg == "--tenants")
-            opt.tenants = std::stoul(next());
+            opt.tenants = parseNumber<std::size_t>(arg.c_str(), next());
         else if (arg == "--faults")
             opt.faults = next();
         else if (arg == "--recalibrate")
@@ -194,7 +221,7 @@ parse(int argc, char **argv)
         else if (arg == "--replay")
             opt.replay_path = next();
         else if (arg == "--budget") {
-            opt.budget_w = std::stod(next());
+            opt.budget_w = parseNumber<double>(arg.c_str(), next());
             if (!(opt.budget_w > 0.0)) {
                 std::fprintf(stderr, "--budget wants a positive "
                                      "watt value\n");
@@ -208,7 +235,7 @@ parse(int argc, char **argv)
         else if (arg == "--priority")
             opt.priority_csv = next();
         else if (arg == "--slo-floor")
-            opt.slo_floor_w = std::stod(next());
+            opt.slo_floor_w = parseNumber<double>(arg.c_str(), next());
         else if (arg == "--arbiter")
             opt.arbiter_policy = next();
         else if (arg == "-h" || arg == "--help")
@@ -332,17 +359,8 @@ parseMix(const std::string &arg)
             std::exit(1);
         }
         entry.cfg = *cfg;
-        const std::string count = token.substr(colon + 1);
-        for (char c : count) {
-            if (c < '0' || c > '9') {
-                std::fprintf(stderr,
-                             "fleet: bad count '%s' in --mix entry "
-                             "'%s'\n",
-                             count.c_str(), token.c_str());
-                std::exit(1);
-            }
-        }
-        entry.count = std::stoul(count);
+        entry.count =
+            parseNumber<std::size_t>("--mix", token.substr(colon + 1));
         if (entry.count == 0) {
             std::fprintf(stderr,
                          "fleet: count must be positive in --mix entry "
@@ -640,8 +658,10 @@ cmdFleet(const Options &opt)
             std::size_t drop_i = 0;
             if (at != std::string::npos && at > 0 &&
                 at + 1 < opt.budget_drop.size()) {
-                drop_w = std::stod(opt.budget_drop.substr(0, at));
-                drop_i = std::stoul(opt.budget_drop.substr(at + 1));
+                drop_w = parseNumber<double>(
+                    "--budget-drop", opt.budget_drop.substr(0, at));
+                drop_i = parseNumber<std::size_t>(
+                    "--budget-drop", opt.budget_drop.substr(at + 1));
             }
             if (drop_w <= 0.0 || drop_i == 0 ||
                 drop_i >= opt.intervals) {
@@ -661,7 +681,8 @@ cmdFleet(const Options &opt)
             std::size_t n_tiers = 0;
             if (colon != std::string::npos && colon > 0 &&
                 colon + 1 < opt.tiers.size())
-                n_tiers = std::stoul(opt.tiers.substr(colon + 1));
+                n_tiers = parseNumber<std::size_t>(
+                    "--tiers", opt.tiers.substr(colon + 1));
             if (n_tiers == 0 || n_tiers > spec.sessions.size()) {
                 std::fprintf(stderr,
                              "fleet: bad --tiers '%s' (want NAME:K "
@@ -705,7 +726,7 @@ cmdFleet(const Options &opt)
                                  opt.priority_csv.c_str());
                     return 1;
                 }
-                const double p = std::stod(tok);
+                const double p = parseNumber<double>("--priority", tok);
                 if (p < 0.0) {
                     std::fprintf(stderr,
                                  "fleet: --priority weights must be "

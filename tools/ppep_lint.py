@@ -17,8 +17,9 @@ knows about:
 
   hot-files    the files on the warm-interval hot path (HOT_FILES) must
                not acquire std::mutex, spawn threads, or perform stream
-               I/O — blocking belongs behind the AsyncTelemetrySink
-               boundary, never inside the governing loop.
+               I/O — blocking belongs in the telemetry sinks, which the
+               session calls after the annotated interval, never inside
+               the governing loop.
 
   rt-escape    every PPEP_RT_WARMUP_BEGIN / PPEP_RT_OPAQUE_BEGIN must
                carry a `rt-escape:` justification comment within the
@@ -160,7 +161,6 @@ RAW_SYNC_INCLUDE_RE = re.compile(
 # exported artifacts hashed by it). Hash containers are banned here.
 DETERMINISM_FILES = {
     "runtime/telemetry.cpp", "runtime/telemetry.hpp",
-    "runtime/async_telemetry.cpp", "runtime/async_telemetry.hpp",
     "runtime/arbiter.cpp", "runtime/arbiter.hpp",
     "runtime/tenant.cpp", "runtime/tenant.hpp",
     "trace/export.cpp", "trace/export.hpp",
@@ -244,8 +244,8 @@ def check_hot_files(path: Path, rp: str, lines: list[str], out: list):
             token = next((g for g in m.groups() if g), m.group(0))
             out.append(Finding(path, i, "hot-files",
                                f"'{token}' on the warm-interval hot "
-                               "path; blocking belongs behind the async "
-                               "telemetry boundary"))
+                               "path; blocking belongs in the telemetry "
+                               "sinks, outside the governing loop"))
 
 
 def check_rt_escape(path: Path, rp: str, lines: list[str], out: list):
