@@ -9,7 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+
 #include "bench_common.hpp"
+#include "capping_odometer.hpp"
 #include "ppep/governor/energy_governor.hpp"
 #include "ppep/governor/governor.hpp"
 #include "ppep/governor/ppep_capping.hpp"
@@ -201,12 +206,21 @@ BM_SamplerIntervalFaulty(benchmark::State &state)
 }
 BENCHMARK(BM_SamplerIntervalFaulty);
 
+/** The benchmark interval's chip on per-CU rails (Sec. V-B) or on
+ *  the FX-8320's shared rail (what fleets and the digests run). */
+sim::ChipConfig
+cappingConfig(bool per_cu_voltage)
+{
+    auto cfg = Context::get().cfg;
+    cfg.per_cu_voltage = per_cu_voltage;
+    return cfg;
+}
+
 void
 BM_CappingDecision(benchmark::State &state)
 {
     const auto &ctx = Context::get();
-    auto cfg = ctx.cfg;
-    cfg.per_cu_voltage = true;
+    const auto cfg = cappingConfig(true);
     governor::PpepCappingGovernor gov(cfg, ctx.ppep);
     for (auto _ : state) {
         auto vf = gov.decide(ctx.rec, 60.0);
@@ -221,8 +235,7 @@ BM_CappingDecisionScratch(benchmark::State &state)
     // decideInto() with a reused output vector — the GovernorLoop
     // steady-state path.
     const auto &ctx = Context::get();
-    auto cfg = ctx.cfg;
-    cfg.per_cu_voltage = true;
+    const auto cfg = cappingConfig(true);
     governor::PpepCappingGovernor gov(cfg, ctx.ppep);
     std::vector<std::size_t> vf;
     for (auto _ : state) {
@@ -231,6 +244,66 @@ BM_CappingDecisionScratch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CappingDecisionScratch);
+
+void
+BM_CappingDecisionSharedRail(benchmark::State &state)
+{
+    const auto &ctx = Context::get();
+    const auto cfg = cappingConfig(false);
+    governor::PpepCappingGovernor gov(cfg, ctx.ppep);
+    for (auto _ : state) {
+        auto vf = gov.decide(ctx.rec, 60.0);
+        benchmark::DoNotOptimize(vf);
+    }
+}
+BENCHMARK(BM_CappingDecisionSharedRail);
+
+void
+BM_CappingDecisionScratchSharedRail(benchmark::State &state)
+{
+    const auto &ctx = Context::get();
+    const auto cfg = cappingConfig(false);
+    governor::PpepCappingGovernor gov(cfg, ctx.ppep);
+    std::vector<std::size_t> vf;
+    for (auto _ : state) {
+        gov.decideInto(ctx.rec, 60.0, vf);
+        benchmark::DoNotOptimize(vf);
+    }
+}
+BENCHMARK(BM_CappingDecisionScratchSharedRail);
+
+/**
+ * The exhaustive odometer the solver replaced (the tests' oracle), on
+ * the same interval and cap: the denominators of the speed-up ratios
+ * main() prints.
+ */
+void
+BM_CappingOdometerScratch(benchmark::State &state)
+{
+    const auto &ctx = Context::get();
+    const auto cfg = cappingConfig(true);
+    oracle::CappingOdometer odometer(cfg, ctx.ppep);
+    std::vector<std::size_t> vf;
+    for (auto _ : state) {
+        odometer.decideInto(ctx.rec, 60.0, vf);
+        benchmark::DoNotOptimize(vf);
+    }
+}
+BENCHMARK(BM_CappingOdometerScratch);
+
+void
+BM_CappingOdometerScratchSharedRail(benchmark::State &state)
+{
+    const auto &ctx = Context::get();
+    const auto cfg = cappingConfig(false);
+    oracle::CappingOdometer odometer(cfg, ctx.ppep);
+    std::vector<std::size_t> vf;
+    for (auto _ : state) {
+        odometer.decideInto(ctx.rec, 60.0, vf);
+        benchmark::DoNotOptimize(vf);
+    }
+}
+BENCHMARK(BM_CappingOdometerScratchSharedRail);
 
 void
 BM_GovernorLoopInterval(benchmark::State &state)
@@ -263,14 +336,38 @@ class JsonMirrorReporter : public benchmark::ConsoleReporter
     void ReportRuns(const std::vector<Run> &runs) override
     {
         ConsoleReporter::ReportRuns(runs);
-        for (const Run &r : runs)
+        for (const Run &r : runs) {
             json_.add(r.benchmark_name(), "real_time",
                       r.GetAdjustedRealTime(),
                       benchmark::GetTimeUnitString(r.time_unit));
+            seconds_[r.benchmark_name()] =
+                r.real_accumulated_time /
+                static_cast<double>(r.iterations);
+        }
+    }
+
+    /**
+     * Within-run speed-up of @p variant over @p control (both measured
+     * in this process), printed and mirrored into the JSON; skipped
+     * when a filter left either out.
+     */
+    void reportRatio(const std::string &name, const std::string &control,
+                     const std::string &variant)
+    {
+        const auto c = seconds_.find(control);
+        const auto v = seconds_.find(variant);
+        if (c == seconds_.end() || v == seconds_.end() ||
+            !(v->second > 0.0))
+            return;
+        const double ratio = c->second / v->second;
+        std::printf("%s: %s / %s = %.1fx\n", name.c_str(),
+                    control.c_str(), variant.c_str(), ratio);
+        json_.add(name, "ratio", ratio, "x");
     }
 
   private:
     bench::BenchJson &json_;
+    std::map<std::string, double> seconds_;
 };
 
 } // namespace
@@ -284,6 +381,12 @@ main(int argc, char **argv)
     ppep::bench::BenchJson json("overhead", "BENCH_overhead.json");
     JsonMirrorReporter reporter(json);
     benchmark::RunSpecifiedBenchmarks(&reporter);
+    reporter.reportRatio("capping_speedup_per_cu",
+                         "BM_CappingOdometerScratch",
+                         "BM_CappingDecisionScratch");
+    reporter.reportRatio("capping_speedup_shared_rail",
+                         "BM_CappingOdometerScratchSharedRail",
+                         "BM_CappingDecisionScratchSharedRail");
     json.write();
     benchmark::Shutdown();
     return 0;

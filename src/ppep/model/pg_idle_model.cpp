@@ -51,6 +51,7 @@ PgIdleModel::fromSweeps(const std::vector<PgSweepMeasurement> &sweeps,
 
         model.components_[s.vf_index] = c;
     }
+    model.cacheAverages();
     return model;
 }
 
@@ -63,7 +64,23 @@ PgIdleModel::fromComponents(std::vector<PgIdleComponents> components,
     PgIdleModel model;
     model.components_ = std::move(components);
     model.n_cus_ = n_cus;
+    model.cacheAverages();
     return model;
+}
+
+void
+PgIdleModel::cacheAverages()
+{
+    // Left-to-right sums in VF-index order; a serialization round trip
+    // rebuilds the same components and so the same bits.
+    double nb = 0.0;
+    for (const auto &c : components_)
+        nb += c.p_nb;
+    p_nb_avg_ = nb / static_cast<double>(components_.size());
+    double base = 0.0;
+    for (const auto &c : components_)
+        base += c.p_base;
+    p_base_avg_ = base / static_cast<double>(components_.size());
 }
 
 const PgIdleComponents &
@@ -96,20 +113,14 @@ double
 PgIdleModel::pNbAvg() const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(trained(), "PG idle model not trained");
-    double s = 0.0;
-    for (const auto &c : components_)
-        s += c.p_nb;
-    return s / static_cast<double>(components_.size());
+    return p_nb_avg_;
 }
 
 double
 PgIdleModel::pBaseAvg() const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(trained(), "PG idle model not trained");
-    double s = 0.0;
-    for (const auto &c : components_)
-        s += c.p_base;
-    return s / static_cast<double>(components_.size());
+    return p_base_avg_;
 }
 
 double

@@ -87,7 +87,7 @@ class PgIdleModel
      * NB idle power averaged over the measured VF states. The NB runs in
      * its own fixed VF domain, so its idle power is core-VF-independent
      * up to measurement noise; the average is what mixed per-CU VF
-     * assignments should use.
+     * assignments should use. Computed once when the model is built.
      */
     double pNbAvg() const PPEP_NONBLOCKING;
 
@@ -118,8 +118,13 @@ class PgIdleModel
                    std::size_t n_cus);
 
   private:
+    /** Fill the pNbAvg()/pBaseAvg() cache from components_. */
+    void cacheAverages();
+
     std::vector<PgIdleComponents> components_; ///< indexed by VF
     std::size_t n_cus_ = 0;
+    double p_nb_avg_ = 0.0;
+    double p_base_avg_ = 0.0;
 };
 
 } // namespace ppep::model

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -86,6 +88,35 @@ TEST(Serialization, RoundTripPreservesPgComponents)
         EXPECT_DOUBLE_EQ(loaded.pg.components(vf).p_base,
                          s.models.pg.components(vf).p_base);
     }
+}
+
+/** pNbAvg()/pBaseAvg() as the averaging loop computes them. */
+void
+expectCachedAveragesMatchLoop(const PgIdleModel &pg)
+{
+    double nb = 0.0;
+    double base = 0.0;
+    for (const auto &c : pg.allComponents())
+        nb += c.p_nb;
+    for (const auto &c : pg.allComponents())
+        base += c.p_base;
+    const auto n = static_cast<double>(pg.allComponents().size());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pg.pNbAvg()),
+              std::bit_cast<std::uint64_t>(nb / n));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pg.pBaseAvg()),
+              std::bit_cast<std::uint64_t>(base / n));
+}
+
+TEST(Serialization, PgAveragesCachedBitForBitAcrossRoundTrip)
+{
+    const auto &s = Shared::get();
+    expectCachedAveragesMatchLoop(s.models.pg);
+    const auto loaded = roundTrip(s.models, s.cfg);
+    expectCachedAveragesMatchLoop(loaded.pg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.pg.pNbAvg()),
+              std::bit_cast<std::uint64_t>(s.models.pg.pNbAvg()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.pg.pBaseAvg()),
+              std::bit_cast<std::uint64_t>(s.models.pg.pBaseAvg()));
 }
 
 TEST(Serialization, RoundTripPreservesChipEstimates)

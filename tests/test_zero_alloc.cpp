@@ -157,6 +157,26 @@ TEST(ZeroAlloc, CappingGovernorSteadyStateIntervalIsAllocationFree)
             << "interval " << i;
 }
 
+TEST(ZeroAlloc, CappingGovernorSharedRailIntervalIsAllocationFree)
+{
+    // The FX-8320's shared rail, as fleets and the golden digests run
+    // it: every rail level of the solver is searched. The cap walks
+    // through a binding, an infeasible and an unlimited phase.
+    const Stack stack;
+    ASSERT_FALSE(stack.cfg.per_cu_voltage);
+    sim::Chip chip(stack.cfg, 5);
+    workloads::launch(chip, workloads::replicate("433.milc", 4), true);
+    governor::PpepCappingGovernor gov(stack.cfg, stack.ppep);
+    governor::GovernorLoop loop(chip, gov);
+    const governor::CapSchedule schedule(
+        {{0, 60.0}, {8, 3.0}, {11, 1e300}, {13, 45.0}});
+
+    loop.drive(5, schedule);
+    for (int i = 0; i < 12; ++i)
+        EXPECT_EQ(allocationsPerInterval(loop, schedule), 0u)
+            << "interval " << i;
+}
+
 /** Discards everything without ever touching the heap. */
 class NullStreambuf : public std::streambuf
 {
