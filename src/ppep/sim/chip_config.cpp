@@ -22,6 +22,12 @@ ChipConfig::validate() const
     PPEP_ASSERT(nb.dram_bw_gbs > 0.0, "DRAM bandwidth must be positive");
     PPEP_ASSERT(nb.max_utilization > 0.0 && nb.max_utilization < 1.0,
                 "utilisation cap out of (0,1)");
+    // The NB solve relies on DRAM demand never rising with utilisation.
+    PPEP_ASSERT(nb.mlp_collapse >= 0.0, "negative MLP collapse");
+    PPEP_ASSERT(nb.line_bytes > 0.0, "cache line size must be positive");
+    PPEP_ASSERT(nb.l3_latency_cycles >= 0.0 &&
+                nb.mc_latency_cycles >= 0.0 && nb.dram_fixed_ns >= 0.0,
+                "negative NB latency");
     for (double e : power.event_energy_nj)
         PPEP_ASSERT(e >= 0.0, "negative event energy");
     double prev_f = vf_table.state(vf_table.top()).freq_ghz;

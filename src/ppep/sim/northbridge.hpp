@@ -9,6 +9,17 @@
  * inflation of DRAM latency with total bandwidth utilisation, resolved by
  * a per-tick fixed point over all busy cores (demand depends on latency,
  * latency depends on demand).
+ *
+ * The fixed point is a scalar root in the DRAM utilisation u. At u every
+ * core sees queue factor q = 1/(1 - u) and MLP scale 1 + mlp_collapse u^2;
+ * both only grow with u, so each core's latency grows, its instruction
+ * rate falls, and the demanded fraction of peak bandwidth rho(u) is
+ * non-increasing (ChipConfig::validate() rejects the negative
+ * mlp_collapse, line size and latencies that would break this).
+ * G(u) = rho(u) - u is then strictly decreasing, with one root on
+ * [0, max_utilization] or none, in which case the cap binds. The solve is
+ * a bracketed Newton iteration on G with the analytic derivative,
+ * started cold at u = 0 every tick.
  */
 
 #ifndef PPEP_SIM_NORTHBRIDGE_HPP
@@ -40,6 +51,8 @@ struct NbResolution
     double utilization = 0.0;
     /** Queueing inflation factor applied to DRAM latency (>= 1). */
     double queue_factor = 1.0;
+    /** Demand evaluations (passes over the busy cores) the solve took. */
+    int evaluations = 0;
 };
 
 /**
@@ -73,6 +86,17 @@ class NorthBridge
      * Resolve the contention fixed point for one tick: given every busy
      * core's demand, find mutually consistent per-core latencies and the
      * resulting DRAM utilisation.
+     *
+     * Returns u = min(root of rho(u) = u, max_utilization), with
+     * queue_factor = 1/(1 - u) and mem_lat_ns priced at u. If
+     * rho(max_utilization) >= max_utilization the cap binds and u is
+     * exactly max_utilization. Otherwise Newton steps from u = 0 on
+     * G(u) = rho(u) - u, keeping a bracket [lo, hi] with G(lo) > 0 and
+     * G(hi) < 0: a step that leaves the bracket is replaced by a probe
+     * of the cap while its sign is unknown, and by bisection after.
+     * The solve stops once a step moves u by at most 1e-15 relative
+     * and reports the last point it evaluated, about 7 passes over the
+     * busy cores on the fleet workloads.
      */
     NbResolution resolve(const std::vector<CoreDemand> &demands) const;
 

@@ -137,8 +137,36 @@ TEST(NorthBridge, FixedPointSelfConsistent)
     }
     const double rho = std::min(bytes / (c.nb.dram_bw_gbs * 1e9),
                                 c.nb.max_utilization);
-    EXPECT_NEAR(rho, res.utilization, 1e-6);
-    EXPECT_NEAR(res.queue_factor, 1.0 / (1.0 - rho), 1e-6);
+    EXPECT_NEAR(rho, res.utilization, 1e-12);
+    EXPECT_NEAR(res.queue_factor, 1.0 / (1.0 - rho), 1e-12);
+}
+
+TEST(NorthBridge, StormClampsAtMaxUtilization)
+{
+    // Eight streaming storms (many DRAM misses, few of them leading
+    // loads) demand more than the queueing cap allows even at the cap's
+    // latency, so the cap itself is the answer.
+    const auto c = cfg();
+    NorthBridge nb(c);
+    Phase p;
+    p.l2req_per_inst = 0.4;
+    p.l2miss_per_inst = 0.2;
+    p.leading_per_inst = 0.002;
+    p.l3_miss_rate = 1.0;
+    ppep::util::Rng rng(1);
+    const CoreDemand d{CoreModel::effectiveRates(c, p, 3.5, rng), 3.5};
+    std::vector<CoreDemand> storm(8, d);
+    const auto res = nb.resolve(storm);
+    EXPECT_EQ(res.utilization, c.nb.max_utilization);
+    EXPECT_EQ(res.queue_factor, 1.0 / (1.0 - c.nb.max_utilization));
+    // Latencies are priced at the cap.
+    const double u = c.nb.max_utilization;
+    const double miss =
+        storm[0].rates.dram_per_inst / storm[0].rates.l3_per_inst;
+    const double lat = nb.coreLatencyNs(miss, 1.0 / (1.0 - u)) *
+                       (1.0 + c.nb.mlp_collapse * u * u);
+    for (double l : res.mem_lat_ns)
+        EXPECT_DOUBLE_EQ(l, lat);
 }
 
 TEST(NorthBridge, NbLowFrequencyRaisesLatencyUnderLoad)
@@ -157,6 +185,45 @@ TEST(NorthBridgeDeath, RejectsBadVf)
     const auto c = cfg();
     NorthBridge nb(c);
     EXPECT_DEATH(nb.setVf({0.0, 2.2}), "bad NB VF");
+}
+
+// The NB solve's uniqueness argument needs DRAM demand that never rises
+// with utilisation; validate() refuses the inputs that would break it.
+TEST(NorthBridgeDeath, RejectsNegativeMlpCollapse)
+{
+    auto c = cfg();
+    c.nb.mlp_collapse = -0.5;
+    EXPECT_DEATH(c.validate(), "negative MLP collapse");
+}
+
+TEST(NorthBridgeDeath, RejectsNonPositiveLineBytes)
+{
+    auto c = cfg();
+    c.nb.line_bytes = 0.0;
+    EXPECT_DEATH(c.validate(), "cache line size must be positive");
+    c.nb.line_bytes = -64.0;
+    EXPECT_DEATH(c.validate(), "cache line size must be positive");
+}
+
+TEST(NorthBridgeDeath, RejectsNegativeL3Latency)
+{
+    auto c = cfg();
+    c.nb.l3_latency_cycles = -1.0;
+    EXPECT_DEATH(c.validate(), "negative NB latency");
+}
+
+TEST(NorthBridgeDeath, RejectsNegativeMcLatency)
+{
+    auto c = cfg();
+    c.nb.mc_latency_cycles = -1.0;
+    EXPECT_DEATH(c.validate(), "negative NB latency");
+}
+
+TEST(NorthBridgeDeath, RejectsNegativeDramFixedLatency)
+{
+    auto c = cfg();
+    c.nb.dram_fixed_ns = -1.0;
+    EXPECT_DEATH(c.validate(), "negative NB latency");
 }
 
 // Property sweep: latency is monotone non-decreasing in the number of
