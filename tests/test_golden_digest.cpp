@@ -157,7 +157,7 @@ TEST(GoldenDigest, PlainEdpSession)
         fxSession(digest).onePerCu({"EP", "CG", "458.sjeng", "433.milc"})
             .build();
     ASSERT_EQ(session.drive(12), 12u);
-    expectDigest(digest.digest(), 0xded16760989d7de6ULL, "plain EDP session");
+    expectDigest(digest.digest(), 0x9d6c1530ed079d3dULL, "plain EDP session");
 }
 
 TEST(GoldenDigest, HardenedSessionUnderSeededFaults)
@@ -171,7 +171,7 @@ TEST(GoldenDigest, HardenedSessionUnderSeededFaults)
             .faultSeed(5)
             .build();
     ASSERT_EQ(session.drive(12), 12u);
-    expectDigest(digest.digest(), 0x99c22d4a0b8c8e7cULL, "hardened session");
+    expectDigest(digest.digest(), 0x59d25a254451cd32ULL, "hardened session");
 }
 
 TEST(GoldenDigest, TenantSession)
@@ -184,7 +184,7 @@ TEST(GoldenDigest, TenantSession)
                       {"beta", {4, 5, 6, 7}, {{4, "CG", true}}}})
             .build();
     ASSERT_EQ(session.drive(12), 12u);
-    expectDigest(digest.digest(), 0x0c767b9037361c46ULL, "tenant session");
+    expectDigest(digest.digest(), 0x966da3481df0a5e2ULL, "tenant session");
 }
 
 TEST(GoldenDigest, SessionUnderSteppedCapSchedule)
@@ -197,15 +197,15 @@ TEST(GoldenDigest, SessionUnderSteppedCapSchedule)
             .schedule(CapSchedule({{0, 120.0}, {4, 70.0}, {8, 50.0}}))
             .build();
     ASSERT_EQ(session.run(12).size(), 12u);
-    expectDigest(digest.digest(), 0xc7138ffca3029506ULL, "capped session");
+    expectDigest(digest.digest(), 0x1b81abd99c69e014ULL, "capped session");
 }
 
 TEST(GoldenDigest, MixedFleetAtOneAndThreeThreads)
 {
     Fleet fleet(mixedSpec(8));
     const std::array<std::uint64_t, 4> want = {
-        0x7081586f7beef1deULL, 0x337acb6c3015f2daULL,
-        0x21071cd66ebbd5b0ULL, 0x3d967e042d2c3913ULL};
+        0xdb25727192cbd3eaULL, 0xa1242d32e19a11d5ULL,
+        0x9e1be4fedf0aaa04ULL, 0x1f47003a6d636305ULL};
     expectFleetDigests(fleet.run(1), want, "mixed fleet, 1 thread");
     expectFleetDigests(fleet.run(3), want, "mixed fleet, 3 threads");
 }
@@ -217,9 +217,9 @@ TEST(GoldenDigest, RecordThenReplayFleet)
     spec.sessions[1].faults =
         sim::FaultPlan::parse("msr=0.3,sensor_drop=0.2,jitter=0.3");
     spec.record_path = path;
-    const std::array<std::uint64_t, 3> want = {0x7081586f7beef1deULL,
-                                               0x5371ab2620d0ea7fULL,
-                                               0x21071cd66ebbd5b0ULL};
+    const std::array<std::uint64_t, 3> want = {0xdb25727192cbd3eaULL,
+                                               0x1a5bba2f4655d7daULL,
+                                               0x9e1be4fedf0aaa04ULL};
     Fleet recorder(spec);
     expectFleetDigests(recorder.run(2), want, "recording fleet");
 
@@ -249,8 +249,8 @@ TEST(GoldenDigest, ArbitratedFleetWithBudgetDrop)
     spec.arbiter = std::move(arbiter);
     Fleet fleet(std::move(spec));
     const std::array<std::uint64_t, 4> want = {
-        0x1b093f810ddc64efULL, 0x276b4ed2dae4e76cULL,
-        0xe7e252d687c4fc1bULL, 0x36fd41a3baec31e3ULL};
+        0x1b2b2e5831f21e84ULL, 0x40fab556f4b1441aULL,
+        0x06c19bfcca5b6a96ULL, 0x0a3395572a2ca79dULL};
     const FleetResult serial = fleet.run(1);
     expectFleetDigests(serial, want, "arbitrated fleet, 1 thread");
     // The budget must bind, or the arbiter never moved a cap.
