@@ -100,10 +100,22 @@ Chip::grantedVf(std::size_t cu) const PPEP_NONBLOCKING
     std::size_t busy_cus = 0;
     for (std::size_t i = 0; i < cfg_.n_cus; ++i)
         busy_cus += !cuIdle(i);
-    const bool allowed =
-        busy_cus <= cfg_.boost_max_busy_cus &&
-        thermal_.temperature() < cfg_.boost_temp_limit_k;
-    return allowed ? requested : cfg_.vf_table.top();
+    return grant(requested, boostAllowed(busy_cus));
+}
+
+bool
+Chip::boostAllowed(std::size_t busy_cus) const PPEP_NONBLOCKING
+{
+    return busy_cus <= cfg_.boost_max_busy_cus &&
+           thermal_.temperature() < cfg_.boost_temp_limit_k;
+}
+
+std::size_t
+Chip::grant(std::size_t requested, bool boost_allowed) const PPEP_NONBLOCKING
+{
+    return requested < cfg_.vf_table.size() || boost_allowed
+               ? requested
+               : cfg_.vf_table.top();
 }
 
 void
@@ -280,13 +292,18 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
     cu_gated.assign(cfg_.n_cus, false);
     PPEP_RT_WARMUP_END
     bool all_gated = true;
+    std::size_t busy_cus = 0;
     for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu) {
-        cu_gated[cu] = pg_enabled_ && cuIdle(cu);
+        const bool idle = cuIdle(cu);
+        busy_cus += !idle;
+        cu_gated[cu] = pg_enabled_ && idle;
         all_gated = all_gated && cu_gated[cu];
     }
     const bool nb_gated = pg_enabled_ && all_gated;
 
-    // 2. Effective per-CU voltage/frequency.
+    // 2. Effective per-CU voltage/frequency, from each CU's granted
+    //    state; on a shared rail the highest voltage among the ungated
+    //    CUs wins (as in effectiveCuVoltage()).
     std::vector<double> &cu_volt = scratch_.cu_volt;
     std::vector<double> &cu_freq = scratch_.cu_freq;
     // rt-escape: warm-up growth of per-tick scratch.
@@ -294,10 +311,21 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
     cu_volt.assign(cfg_.n_cus, 0.0);
     cu_freq.assign(cfg_.n_cus, 0.0);
     PPEP_RT_WARMUP_END
+    const bool boost_allowed = boostAllowed(busy_cus);
+    double rail_v = 0.0;
+    bool rail_used = false;
     for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu) {
-        cu_volt[cu] = effectiveCuVoltage(cu);
-        cu_freq[cu] = stateOf(grantedVf(cu)).freq_ghz;
+        const VfState &granted = stateOf(grant(cu_vf_[cu], boost_allowed));
+        cu_volt[cu] = granted.voltage;
+        cu_freq[cu] = granted.freq_ghz;
+        if (!cu_gated[cu]) {
+            rail_v = std::max(rail_v, granted.voltage);
+            rail_used = true;
+        }
     }
+    if (!cfg_.per_cu_voltage)
+        std::fill(cu_volt.begin(), cu_volt.end(),
+                  rail_used ? rail_v : cfg_.vf_table.state(0).voltage);
 
     // 3. Effective rates for busy cores, then the NB contention fixed
     //    point across all of them.

@@ -211,6 +211,13 @@ class Chip
     /** True when both cores of a CU are idle (no runnable job). */
     bool cuIdle(std::size_t cu) const PPEP_NONBLOCKING;
 
+    /** Whether boost may be granted with @p busy_cus CUs busy now. */
+    bool boostAllowed(std::size_t busy_cus) const PPEP_NONBLOCKING;
+
+    /** The state granted for @p requested (see grantedVf()). */
+    std::size_t grant(std::size_t requested,
+                      bool boost_allowed) const PPEP_NONBLOCKING;
+
     /** Hidden per-phase activity factor for a core's current phase. */
     double activityFactor(std::size_t core) const PPEP_NONBLOCKING;
 
