@@ -15,13 +15,16 @@
 
 #include "bench_common.hpp"
 #include "capping_odometer.hpp"
+#include "nb_damped_oracle.hpp"
 #include "ppep/governor/energy_governor.hpp"
 #include "ppep/governor/governor.hpp"
 #include "ppep/governor/ppep_capping.hpp"
 #include "ppep/model/ppep.hpp"
 #include "ppep/runtime/sampler.hpp"
 #include "ppep/sim/fault.hpp"
+#include "ppep/sim/northbridge.hpp"
 #include "ppep/trace/collector.hpp"
+#include "ppep/util/rng.hpp"
 
 namespace {
 
@@ -305,6 +308,65 @@ BM_CappingOdometerScratchSharedRail(benchmark::State &state)
 }
 BENCHMARK(BM_CappingOdometerScratchSharedRail);
 
+/**
+ * @p n busy cores for the NB contention solve: seeded draws of a suite
+ * program phase at a random P-state.
+ */
+std::vector<sim::CoreDemand>
+nbDemands(const sim::ChipConfig &cfg, std::size_t n)
+{
+    util::Rng rng(bench::kSeed + n);
+    const auto &programs = workloads::Suite::all();
+    std::vector<sim::CoreDemand> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &program = programs[rng.next() % programs.size()];
+        const auto &phase =
+            program.phases[rng.next() % program.phases.size()];
+        const double f =
+            cfg.vf_table.state(rng.next() % cfg.vf_table.size()).freq_ghz;
+        out.push_back(
+            {sim::CoreModel::effectiveRates(cfg, phase, f, rng), f});
+    }
+    return out;
+}
+
+/** One tick's NB contention solve (bracketed Newton) over n cores. */
+void
+BM_NbResolve(benchmark::State &state)
+{
+    const auto cfg = sim::fx8320Config();
+    const sim::NorthBridge nb(cfg);
+    const auto demands =
+        nbDemands(cfg, static_cast<std::size_t>(state.range(0)));
+    sim::NbResolution res;
+    for (auto _ : state) {
+        nb.resolveInto(demands, res);
+        benchmark::DoNotOptimize(res.utilization);
+    }
+    state.counters["evaluations"] = res.evaluations;
+}
+BENCHMARK(BM_NbResolve)->Arg(4)->Arg(8);
+
+/**
+ * The damped fixed point the Newton solve replaced (the tests' oracle),
+ * on the same demand sets: the denominators of the speed-up ratios
+ * main() prints.
+ */
+void
+BM_NbResolveDampedOracle(benchmark::State &state)
+{
+    const auto cfg = sim::fx8320Config();
+    const sim::NorthBridge nb(cfg);
+    const auto demands =
+        nbDemands(cfg, static_cast<std::size_t>(state.range(0)));
+    sim::NbResolution res;
+    for (auto _ : state) {
+        oracle::resolveDamped(cfg, nb, demands, res);
+        benchmark::DoNotOptimize(res.utilization);
+    }
+}
+BENCHMARK(BM_NbResolveDampedOracle)->Arg(4)->Arg(8);
+
 void
 BM_GovernorLoopInterval(benchmark::State &state)
 {
@@ -387,6 +449,10 @@ main(int argc, char **argv)
     reporter.reportRatio("capping_speedup_shared_rail",
                          "BM_CappingOdometerScratchSharedRail",
                          "BM_CappingDecisionScratchSharedRail");
+    for (const char *n : {"4", "8"})
+        reporter.reportRatio(std::string("nb_resolve_speedup_") + n,
+                             std::string("BM_NbResolveDampedOracle/") + n,
+                             std::string("BM_NbResolve/") + n);
     json.write();
     benchmark::Shutdown();
     return 0;
