@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <ios>
@@ -31,7 +32,9 @@
 
 #include "ppep/model/trainer.hpp"
 #include "ppep/runtime/fleet.hpp"
+#include "ppep/runtime/sampler.hpp"
 #include "ppep/runtime/session.hpp"
+#include "ppep/sim/chip.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
 
@@ -259,6 +262,73 @@ TEST(GoldenDigest, ArbitratedFleetWithBudgetDrop)
         throttled_w += s.mean_throttled_w;
     EXPECT_GT(throttled_w, 0.0);
     expectFleetDigests(fleet.run(2), want, "arbitrated fleet, 2 threads");
+}
+
+/** FNV-1a over every word of the counter path's output. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/**
+ * Digest of 40 hardened-sampler intervals on a chip whose counters
+ * wrap, saturate and miss harvests: every extrapolated PMC double, the
+ * cumulative fault tally and the chip's wrap count, each interval.
+ * No model is trained; only the counter path and the Sampler run.
+ */
+std::uint64_t
+counterFaultDigest(const sim::ChipConfig &cfg, const std::string &faults)
+{
+    sim::Chip chip(cfg, 13);
+    workloads::launch(chip, workloads::replicate("dedup", 3), true);
+    chip.setFaultPlan(sim::FaultPlan::parse(faults), 17);
+    runtime::Sampler sampler(chip);
+    trace::IntervalRecord rec;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 40; ++i) {
+        sampler.collectIntervalInto(rec);
+        for (const auto &core : rec.pmc)
+            for (double v : core)
+                fnvMix(h, std::bit_cast<std::uint64_t>(v));
+        fnvMix(h, sampler.lastHealth().total_fault_events);
+        fnvMix(h, chip.pmcWrapEvents());
+    }
+    // Every counter fault must have fired, or the digest pins less
+    // than it claims to.
+    const auto &fired = chip.faultInjector()->counters();
+    EXPECT_GT(chip.pmcWrapEvents(), 0u);
+    EXPECT_GT(fired.pmc_slot_saturations, 0u);
+    EXPECT_GT(fired.mux_dropped_ticks, 0u);
+    return h;
+}
+
+TEST(GoldenDigest, CounterFaultsAcrossSlotWidths)
+{
+    const std::array<std::string, 2> plans = {
+        "wrap=20,saturate=0.02,mux=0.1",
+        "wrap=16,saturate=0.05,mux=0.3,msr=0.2"};
+    std::vector<std::pair<std::string, sim::ChipConfig>> chips;
+    for (std::size_t slots : {5u, 6u, 12u}) {
+        sim::ChipConfig cfg = sim::fx8320Config();
+        cfg.pmc_counters = slots;
+        chips.emplace_back("FX-8320, " + std::to_string(slots) + " slots",
+                           cfg);
+    }
+    chips.emplace_back("Phenom II", sim::phenomIIConfig());
+    const std::array<std::uint64_t, 8> want = {
+        0xce148fcff073ade3ULL, 0x83b1326a5b59be5fULL,
+        0x1480726319facaefULL, 0x840861038ba19f77ULL,
+        0x045284c76d917222ULL, 0x84a843aaaee6cb65ULL,
+        0x158eae16d8127524ULL, 0x84159d3381ddd217ULL};
+    std::size_t k = 0;
+    for (const auto &plan : plans)
+        for (const auto &[name, cfg] : chips)
+            expectDigest(counterFaultDigest(cfg, plan), want[k++],
+                         name + " under " + plan);
 }
 
 } // namespace
