@@ -19,13 +19,8 @@ Chip::Chip(ChipConfig cfg, std::uint64_t seed)
 {
     cfg_.validate();
     util::Rng root(seed);
-    std::vector<Event> all(allEvents().begin(), allEvents().end());
     for (std::size_t c = 0; c < cfg_.coreCount(); ++c) {
-        pmc_banks_.push_back(
-            std::make_unique<PmcBank>(cfg_.pmc_counters));
-        pmc_mux_.push_back(
-            std::make_unique<PmcMultiplexer>(*pmc_banks_.back(), all,
-                                             c));
+        pmc_.emplace_back(cfg_.pmc_counters, c);
         core_rngs_.push_back(root.fork(100 + c));
     }
 }
@@ -143,37 +138,33 @@ Chip::setPowerGatingEnabled(bool enabled)
 EventVector
 Chip::readPmc(std::size_t core) PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(core < pmc_mux_.size(), "core ", core, " out of range");
-    PPEP_ASSERT(pmc_auto_mux_,
-                "auto-multiplexing is off; read the PmcBank directly");
-    return pmc_mux_[core]->readAndReset();
+    PPEP_ASSERT(core < pmc_.size(), "core ", core, " out of range");
+    return pmc_[core].readAndReset();
 }
 
 bool
 Chip::tryReadPmc(std::size_t core, EventVector &out) PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(core < pmc_mux_.size(), "core ", core, " out of range");
-    PPEP_ASSERT(pmc_auto_mux_,
-                "auto-multiplexing is off; read the PmcBank directly");
+    PPEP_ASSERT(core < pmc_.size(), "core ", core, " out of range");
     if (injector_ && injector_->msrReadFails())
         return false;
-    out = pmc_mux_[core]->readAndReset();
+    out = pmc_[core].readAndReset();
     return true;
 }
 
 std::size_t
 Chip::pmcTicksSinceReset(std::size_t core) const PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(core < pmc_mux_.size(), "core ", core, " out of range");
-    return pmc_mux_[core]->ticksSinceReset();
+    PPEP_ASSERT(core < pmc_.size(), "core ", core, " out of range");
+    return pmc_[core].ticksSinceReset();
 }
 
 void
 Chip::setFaultPlan(const FaultPlan &plan, std::uint64_t seed)
 {
     injector_ = std::make_unique<FaultInjector>(plan, seed);
-    for (auto &bank : pmc_banks_)
-        bank->setWrapBits(plan.pmc_wrap_bits);
+    for (auto &pmc : pmc_)
+        pmc.setWrapBits(plan.pmc_wrap_bits);
     // Bound the delayed-write queue up front so the warm hot path never
     // grows it: at most one in-flight write per CU per delay window.
     pending_vf_.reserve(cfg_.n_cus *
@@ -184,23 +175,9 @@ std::size_t
 Chip::pmcWrapEvents() const PPEP_NONBLOCKING
 {
     std::size_t total = 0;
-    for (const auto &bank : pmc_banks_)
-        total += bank->wrapEvents();
+    for (const auto &pmc : pmc_)
+        total += pmc.wrapEvents();
     return total;
-}
-
-void
-Chip::setPmcAutoMultiplex(bool enabled)
-{
-    pmc_auto_mux_ = enabled;
-}
-
-PmcBank &
-Chip::pmcBank(std::size_t core)
-{
-    PPEP_ASSERT(core < pmc_banks_.size(), "core ", core,
-                " out of range");
-    return *pmc_banks_[core];
 }
 
 bool
@@ -441,22 +418,20 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
         res.diode_temp_k = injector_->corruptDiode(res.diode_temp_k);
     }
 
-    // 7. Counter hardware ticks; the software multiplexer (when
-    //    enabled) harvests the active group and rotates the selects.
-    //    Injected faults: a slot may saturate to full scale, and the
-    //    daemon-side harvest may miss the tick entirely (the counts
-    //    then bleed into the next harvest unrotated).
+    // 7. Counters tick; the daemon harvests the active group and
+    //    rotates. Injected faults: a slot may saturate to full scale,
+    //    and the harvest may miss the tick entirely (the counts then
+    //    bleed into the next harvest unrotated).
     for (std::size_t c = 0; c < n_cores; ++c) {
-        pmc_banks_[c]->observe(res.truth.core_events[c]);
+        PmcMultiplexer &pmc = pmc_[c];
+        pmc.observe(res.truth.core_events[c]);
         if (injector_) {
-            if (const auto slot = injector_->saturatedSlot(
-                    pmc_banks_[c]->counterCount()))
-                pmc_banks_[c]->write(*slot, pmc_banks_[c]->maxCount());
-            if (pmc_auto_mux_ && injector_->muxTickDropped())
+            if (const auto slot = injector_->saturatedSlot(pmc.slotCount()))
+                pmc.saturate(*slot);
+            if (injector_->muxTickDropped())
                 continue;
         }
-        if (pmc_auto_mux_)
-            pmc_mux_[c]->afterTick();
+        pmc.harvest();
     }
 
     time_s_ += dt;

@@ -124,9 +124,8 @@ class Chip
     const VfState &nbVf() const PPEP_NONBLOCKING { return nb_.vf(); }
 
     /**
-     * Read-and-reset one core's software-multiplexed counters (the
-     * daemon path the paper uses). Never fails — the legacy perfect-
-     * hardware read. @pre auto-multiplexing is enabled.
+     * Read-and-reset one core's multiplexed counters (the daemon path
+     * the paper uses). Never fails, even with a fault plan installed.
      */
     EventVector readPmc(std::size_t core) PPEP_NONBLOCKING;
 
@@ -136,7 +135,6 @@ class Chip
      * FaultPlan::msr_read_fail_p); the multiplexer then keeps
      * accumulating, so a later retry reads a longer window. Returns
      * false and leaves @p out untouched on failure.
-     * @pre auto-multiplexing is enabled.
      */
     bool tryReadPmc(std::size_t core, EventVector &out) PPEP_NONBLOCKING;
 
@@ -147,20 +145,6 @@ class Chip
      */
     std::size_t pmcTicksSinceReset(std::size_t core) const PPEP_NONBLOCKING;
 
-    /**
-     * Enable/disable the built-in per-core software multiplexer. With
-     * it disabled, nothing reprograms the counter selects between
-     * ticks: program the bank yourself (directly or through the MSR
-     * facade) and read raw counts — the msr-tools workflow.
-     */
-    void setPmcAutoMultiplex(bool enabled);
-
-    /** Whether the built-in multiplexer is driving the counters. */
-    bool pmcAutoMultiplex() const { return pmc_auto_mux_; }
-
-    /** Direct access to a core's counter hardware (MSR-level use). */
-    PmcBank &pmcBank(std::size_t core);
-
     // --- fault injection ------------------------------------------------
 
     /**
@@ -169,7 +153,7 @@ class Chip
      * by a dedicated RNG stream derived from @p seed. Strictly opt-in —
      * without this call (or with an all-zero plan) the chip's outputs
      * are bit-identical to a fault-free build. Finite counter width
-     * (plan.pmc_wrap_bits) is applied to every core's PmcBank.
+     * (plan.pmc_wrap_bits) is applied to every core's counters.
      */
     void setFaultPlan(const FaultPlan &plan, std::uint64_t seed);
 
@@ -229,9 +213,7 @@ class Chip
 
     std::vector<std::unique_ptr<Job>> jobs_;
     std::vector<std::size_t> cu_vf_;
-    std::vector<std::unique_ptr<PmcBank>> pmc_banks_;
-    std::vector<std::unique_ptr<PmcMultiplexer>> pmc_mux_;
-    bool pmc_auto_mux_ = true;
+    std::vector<PmcMultiplexer> pmc_;
     std::vector<util::Rng> core_rngs_;
     bool pg_enabled_ = false;
     double time_s_ = 0.0;

@@ -39,32 +39,6 @@ info(Event e)
 
 } // namespace
 
-namespace {
-
-constexpr std::array<std::uint16_t, kNumEvents> kSelectCodes{
-    0x0c1, 0x000, 0x080, 0x040, 0x07d, 0x0c2,
-    0x0c3, 0x07e, 0x0d1, 0x076, 0x0c0, 0x069};
-
-} // namespace
-
-std::uint16_t
-eventSelect(Event e)
-{
-    const auto idx = eventIndex(e);
-    PPEP_ASSERT(idx < kNumEvents, "bad event index");
-    return kSelectCodes[idx];
-}
-
-std::optional<Event>
-eventFromSelect(std::uint16_t select)
-{
-    for (std::size_t i = 0; i < kNumEvents; ++i) {
-        if (kSelectCodes[i] == select)
-            return static_cast<Event>(i);
-    }
-    return std::nullopt;
-}
-
 std::string_view
 eventName(Event e)
 {

@@ -12,8 +12,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace ppep::sim {
@@ -69,12 +67,6 @@ std::string_view eventLabel(Event e);
 
 /** True for events whose counts are cycle counts rather than occurrences. */
 bool eventCountsCycles(Event e);
-
-/** Numeric PMC event-select code (e.g. 0x0c1 for E1). */
-std::uint16_t eventSelect(Event e);
-
-/** Reverse lookup of a select code; nullopt for unmodelled events. */
-std::optional<Event> eventFromSelect(std::uint16_t select);
 
 /** All events, in Table I order, for iteration. */
 const std::array<Event, kNumEvents> &allEvents();

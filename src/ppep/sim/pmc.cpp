@@ -6,158 +6,79 @@
 
 namespace ppep::sim {
 
-std::uint64_t
-wrapCounterDelta(std::uint64_t prev, std::uint64_t cur,
-                 unsigned width_bits)
+PmcMultiplexer::PmcMultiplexer(std::size_t n_slots, std::size_t stagger)
+    : n_slots_(n_slots),
+      n_groups_(n_slots ? (kNumEvents + n_slots - 1) / n_slots : 0),
+      group_(n_groups_ ? stagger % n_groups_ : 0)
 {
-    PPEP_ASSERT(width_bits >= 1 && width_bits <= 63,
-                "counter width out of range");
-    const std::uint64_t mask = (1ULL << width_bits) - 1;
-    PPEP_ASSERT(prev <= mask && cur <= mask,
-                "raw reads exceed the counter width");
-    return (cur - prev) & mask;
-}
-
-PmcBank::PmcBank(std::size_t n_counters) : slots_(n_counters)
-{
-    PPEP_ASSERT(n_counters >= 1, "need at least one counter");
+    PPEP_ASSERT(n_slots >= 1, "need at least one counter");
 }
 
 void
-PmcBank::setWrapBits(unsigned bits)
+PmcMultiplexer::setWrapBits(unsigned bits)
 {
     PPEP_ASSERT(bits <= 63, "counter width must fit a 64-bit register");
-    wrap_bits_ = bits;
-    wrap_modulus_ =
-        bits ? static_cast<double>(1ULL << bits) : 0.0;
+    wrap_modulus_ = bits ? static_cast<double>(1ULL << bits) : 0.0;
 }
 
-double
-PmcBank::maxCount() const PPEP_NONBLOCKING
+std::size_t
+PmcMultiplexer::liveSlots() const PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(wrap_bits_ > 0, "unbounded counters have no full scale");
-    return wrap_modulus_ - 1.0;
+    return std::min(n_slots_, kNumEvents - group_ * n_slots_);
 }
 
 void
-PmcBank::program(std::size_t slot, std::optional<Event> event)
+PmcMultiplexer::observe(const EventVector &true_counts) PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(slot < slots_.size(), "slot ", slot, " out of range");
-    slots_[slot].event = event;
-}
-
-std::optional<Event>
-PmcBank::programmed(std::size_t slot) const
-{
-    PPEP_ASSERT(slot < slots_.size(), "slot ", slot, " out of range");
-    return slots_[slot].event;
-}
-
-double
-PmcBank::read(std::size_t slot) const
-{
-    PPEP_ASSERT(slot < slots_.size(), "slot ", slot, " out of range");
-    return slots_[slot].count;
-}
-
-void
-PmcBank::write(std::size_t slot, double value) PPEP_NONBLOCKING
-{
-    PPEP_ASSERT(slot < slots_.size(), "slot ", slot, " out of range");
-    PPEP_ASSERT(value >= 0.0, "counters hold non-negative counts");
-    slots_[slot].count = value;
-}
-
-void
-PmcBank::observe(const EventVector &true_counts) PPEP_NONBLOCKING
-{
-    for (auto &slot : slots_) {
-        if (!slot.event)
-            continue;
-        slot.count += true_counts[eventIndex(*slot.event)];
-        if (wrap_modulus_ > 0.0) {
-            // Finite-width counters lose their high bits on overflow,
-            // exactly like a real 48-bit PERF_CTR rolling over.
-            while (slot.count >= wrap_modulus_) {
-                slot.count -= wrap_modulus_;
-                ++wrap_events_;
-            }
+    const std::size_t first = group_ * n_slots_;
+    const std::size_t live = liveSlots();
+    for (std::size_t s = 0; s < live; ++s) {
+        double &count = slots_[s];
+        count += true_counts[first + s];
+        // Finite-width counters lose their high bits on overflow,
+        // exactly like a real 48-bit PERF_CTR rolling over.
+        while (wrap_modulus_ > 0.0 && count >= wrap_modulus_) {
+            count -= wrap_modulus_;
+            ++wrap_events_;
         }
     }
 }
 
-PmcMultiplexer::PmcMultiplexer(PmcBank &bank, std::vector<Event> events,
-                               std::size_t stagger)
-    : bank_(bank), events_(std::move(events)),
-      n_groups_((events_.size() + bank.counterCount() - 1) /
-                bank.counterCount()),
-      current_group_(n_groups_ ? stagger % n_groups_ : 0)
+void
+PmcMultiplexer::saturate(std::size_t slot) PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(!events_.empty(), "multiplexer needs events");
-    group_ticks_.assign(n_groups_, 0);
-    programCurrentGroup();
-}
-
-std::size_t
-PmcMultiplexer::groupOf(Event e) const
-{
-    const auto it = std::find(events_.begin(), events_.end(), e);
-    PPEP_ASSERT(it != events_.end(), "event not covered");
-    return static_cast<std::size_t>(
-               std::distance(events_.begin(), it)) /
-           bank_.counterCount();
+    PPEP_ASSERT(wrap_modulus_ > 0.0, "unbounded counters have no full scale");
+    if (slot < liveSlots())
+        slots_[slot] = wrap_modulus_ - 1.0;
 }
 
 void
-PmcMultiplexer::programCurrentGroup()
+PmcMultiplexer::harvest() PPEP_NONBLOCKING
 {
-    const std::size_t width = bank_.counterCount();
-    const std::size_t lo = current_group_ * width;
-    for (std::size_t s = 0; s < width; ++s) {
-        const std::size_t idx = lo + s;
-        bank_.program(s, idx < events_.size()
-                             ? std::optional<Event>(events_[idx])
-                             : std::nullopt);
-        bank_.write(s, 0.0);
+    const std::size_t first = group_ * n_slots_;
+    const std::size_t live = liveSlots();
+    for (std::size_t s = 0; s < live; ++s) {
+        accum_[first + s] += slots_[s];
+        slots_[s] = 0.0;
     }
-}
-
-void
-PmcMultiplexer::afterTick() PPEP_NONBLOCKING
-{
-    // Harvest what the hardware just counted for the active group.
-    const std::size_t width = bank_.counterCount();
-    const std::size_t lo = current_group_ * width;
-    for (std::size_t s = 0; s < width; ++s) {
-        const std::size_t idx = lo + s;
-        if (idx < events_.size())
-            accum_[eventIndex(events_[idx])] += bank_.read(s);
-    }
-    ++group_ticks_[current_group_];
-    ++total_ticks_;
-    current_group_ = (current_group_ + 1) % n_groups_;
-    programCurrentGroup();
+    ++group_ticks_[group_];
+    ++ticks_;
+    group_ = (group_ + 1) % n_groups_;
 }
 
 EventVector
 PmcMultiplexer::readAndReset() PPEP_NONBLOCKING
 {
     EventVector out{};
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const std::size_t g = i / bank_.counterCount();
-        if (group_ticks_[g] > 0) {
-            const std::size_t e = eventIndex(events_[i]);
-            out[e] = accum_[e] * static_cast<double>(total_ticks_) /
+    for (std::size_t e = 0; e < kNumEvents; ++e) {
+        const std::size_t g = e / n_slots_;
+        if (group_ticks_[g] > 0)
+            out[e] = accum_[e] * static_cast<double>(ticks_) /
                      static_cast<double>(group_ticks_[g]);
-        }
     }
     accum_ = EventVector{};
-    // rt-escape: assign() at the fixed group count reuses capacity
-    // sized in the constructor; never reallocates.
-    PPEP_RT_WARMUP_BEGIN
-    group_ticks_.assign(n_groups_, 0);
-    PPEP_RT_WARMUP_END
-    total_ticks_ = 0;
+    std::fill(group_ticks_.begin(), group_ticks_.end(), 0);
+    ticks_ = 0;
     return out;
 }
 

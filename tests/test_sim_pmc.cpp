@@ -1,14 +1,14 @@
 /**
  * @file
- * Unit tests for the programmable counter hardware (PmcBank) and the
- * daemon-side time multiplexer (PmcMultiplexer) — the mechanism behind
- * the paper's dedup/IS/DC outliers.
+ * Unit tests for the per-core counter unit (PmcMultiplexer): counter
+ * slots time-multiplexed over the twelve Table I events — the
+ * mechanism behind the paper's dedup/IS/DC outliers — and its counter
+ * faults (wrap, saturation, a skipped harvest).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
 
 #include "ppep/sim/pmc.hpp"
 
@@ -25,94 +25,41 @@ constantCounts(double value)
     return v;
 }
 
-std::vector<Event>
-allEventList()
+/** Event e's count is e + 1 per tick, so a misplaced slot shows. */
+EventVector
+distinctCounts()
 {
-    return {allEvents().begin(), allEvents().end()};
+    EventVector v{};
+    for (std::size_t e = 0; e < kNumEvents; ++e)
+        v[e] = static_cast<double>(e + 1);
+    return v;
 }
 
-TEST(PmcBank, SlotsStartDisabled)
+void
+tick(PmcMultiplexer &mux, const EventVector &counts)
 {
-    PmcBank bank(6);
-    EXPECT_EQ(bank.counterCount(), 6u);
-    for (std::size_t s = 0; s < 6; ++s) {
-        EXPECT_FALSE(bank.programmed(s).has_value());
-        EXPECT_DOUBLE_EQ(bank.read(s), 0.0);
-    }
-}
-
-TEST(PmcBank, DisabledSlotsDoNotCount)
-{
-    PmcBank bank(6);
-    bank.observe(constantCounts(100.0));
-    for (std::size_t s = 0; s < 6; ++s)
-        EXPECT_DOUBLE_EQ(bank.read(s), 0.0);
-}
-
-TEST(PmcBank, ProgrammedSlotCountsItsEvent)
-{
-    PmcBank bank(6);
-    bank.program(0, Event::RetiredInst);
-    bank.program(1, Event::MabWaitCycles);
-    EventVector counts{};
-    counts[eventIndex(Event::RetiredInst)] = 42.0;
-    counts[eventIndex(Event::MabWaitCycles)] = 7.0;
-    bank.observe(counts);
-    bank.observe(counts);
-    EXPECT_DOUBLE_EQ(bank.read(0), 84.0);
-    EXPECT_DOUBLE_EQ(bank.read(1), 14.0);
-    EXPECT_DOUBLE_EQ(bank.read(2), 0.0);
-}
-
-TEST(PmcBank, ReprogramKeepsCountUntilWritten)
-{
-    PmcBank bank(2);
-    bank.program(0, Event::RetiredInst);
-    EventVector counts{};
-    counts[eventIndex(Event::RetiredInst)] = 10.0;
-    bank.observe(counts);
-    bank.program(0, Event::RetiredBranch); // select changes
-    EXPECT_DOUBLE_EQ(bank.read(0), 10.0);  // count register persists
-    bank.write(0, 0.0);
-    EXPECT_DOUBLE_EQ(bank.read(0), 0.0);
-}
-
-TEST(PmcBankDeath, SlotBoundsChecked)
-{
-    PmcBank bank(2);
-    EXPECT_DEATH(bank.read(2), "out of range");
-    EXPECT_DEATH(bank.program(5, Event::RetiredUop), "out of range");
-    EXPECT_DEATH(bank.write(0, -1.0), "non-negative");
+    mux.observe(counts);
+    mux.harvest();
 }
 
 TEST(Mux, TwoGroupsWithSixCounters)
 {
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
+    PmcMultiplexer mux(6);
+    EXPECT_EQ(mux.slotCount(), 6u);
     EXPECT_EQ(mux.groupCount(), 2u);
-    EXPECT_EQ(mux.groupOf(Event::RetiredUop), 0u);        // E1
-    EXPECT_EQ(mux.groupOf(Event::RetiredBranch), 0u);     // E6
-    EXPECT_EQ(mux.groupOf(Event::RetiredMispBranch), 1u); // E7
-    EXPECT_EQ(mux.groupOf(Event::MabWaitCycles), 1u);     // E12
-}
-
-TEST(Mux, ProgramsCurrentGroupIntoBank)
-{
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList(), /*stagger=*/0);
-    // Group 0 = E1..E6 should be selected right away.
-    EXPECT_EQ(bank.programmed(0), Event::RetiredUop);
-    EXPECT_EQ(bank.programmed(5), Event::RetiredBranch);
+    // Group 0 is E1..E6, group 1 is E7..E12.
+    tick(mux, distinctCounts());
+    const auto read = mux.readAndReset();
+    for (std::size_t e = 0; e < kNumEvents; ++e)
+        EXPECT_DOUBLE_EQ(read[e], e < 6 ? static_cast<double>(e + 1) : 0.0)
+            << "event " << e;
 }
 
 TEST(Mux, SteadyCountsExtrapolateExactly)
 {
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
-    for (int t = 0; t < 10; ++t) {
-        bank.observe(constantCounts(100.0));
-        mux.afterTick();
-    }
+    PmcMultiplexer mux(6);
+    for (int t = 0; t < 10; ++t)
+        tick(mux, constantCounts(100.0));
     const auto read = mux.readAndReset();
     // Each group saw 5 of 10 ticks at 100/tick -> extrapolated to 1000.
     for (std::size_t i = 0; i < kNumEvents; ++i)
@@ -121,12 +68,9 @@ TEST(Mux, SteadyCountsExtrapolateExactly)
 
 TEST(Mux, ReadResetsState)
 {
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
-    bank.observe(constantCounts(50.0));
-    mux.afterTick();
-    bank.observe(constantCounts(50.0));
-    mux.afterTick();
+    PmcMultiplexer mux(6);
+    tick(mux, constantCounts(50.0));
+    tick(mux, constantCounts(50.0));
     mux.readAndReset();
     EXPECT_EQ(mux.ticksSinceReset(), 0u);
     const auto read = mux.readAndReset();
@@ -136,10 +80,8 @@ TEST(Mux, ReadResetsState)
 
 TEST(Mux, UnobservedGroupReadsZero)
 {
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
-    bank.observe(constantCounts(100.0)); // only group 0 observed
-    mux.afterTick();
+    PmcMultiplexer mux(6);
+    tick(mux, constantCounts(100.0)); // only group 0 observed
     const auto read = mux.readAndReset();
     EXPECT_GT(read[0], 0.0);
     EXPECT_DOUBLE_EQ(read[11], 0.0);
@@ -151,14 +93,12 @@ TEST(Mux, PhaseFlipCausesExtrapolationError)
     // group 0 sees only the hot ticks, group 1 only the cold ones. The
     // extrapolated totals are badly wrong for both groups — the paper's
     // rapid-phase outlier mechanism, reproduced exactly.
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
+    PmcMultiplexer mux(6);
     double truth = 0.0;
     for (int t = 0; t < 10; ++t) {
         const double v = (t % 2 == 0) ? 200.0 : 0.0;
         truth += v;
-        bank.observe(constantCounts(v));
-        mux.afterTick();
+        tick(mux, constantCounts(v));
     }
     const auto read = mux.readAndReset();
     EXPECT_NEAR(read[0], 2.0 * truth, 1e-9); // group 0 doubles
@@ -167,13 +107,10 @@ TEST(Mux, PhaseFlipCausesExtrapolationError)
 
 TEST(Mux, StaggerShiftsRotation)
 {
-    PmcBank bank_a(6), bank_b(6);
-    PmcMultiplexer a(bank_a, allEventList(), 0);
-    PmcMultiplexer b(bank_b, allEventList(), 1);
-    bank_a.observe(constantCounts(100.0));
-    a.afterTick();
-    bank_b.observe(constantCounts(100.0));
-    b.afterTick();
+    PmcMultiplexer a(6, 0);
+    PmcMultiplexer b(6, 1);
+    tick(a, constantCounts(100.0));
+    tick(b, constantCounts(100.0));
     const auto ra = a.readAndReset();
     const auto rb = b.readAndReset();
     EXPECT_GT(ra[0], 0.0);
@@ -184,34 +121,34 @@ TEST(Mux, StaggerShiftsRotation)
 
 TEST(Mux, TwelveCountersNeedNoMultiplexing)
 {
-    PmcBank bank(12);
-    PmcMultiplexer mux(bank, allEventList());
+    PmcMultiplexer mux(12);
     EXPECT_EQ(mux.groupCount(), 1u);
-    for (int t = 0; t < 7; ++t) {
-        bank.observe(constantCounts(10.0));
-        mux.afterTick();
-    }
+    for (int t = 0; t < 7; ++t)
+        tick(mux, constantCounts(10.0));
     const auto read = mux.readAndReset();
     for (double v : read)
         EXPECT_DOUBLE_EQ(v, 70.0);
 }
 
-TEST(Mux, SubsetOfEventsCoverable)
+TEST(Mux, PartialLastGroupWithFiveSlots)
 {
-    // The daemon can choose to cover only the three performance events
-    // with zero multiplexing on a six-slot bank.
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank,
-                       {Event::ClocksNotHalted, Event::RetiredInst,
-                        Event::MabWaitCycles});
-    EXPECT_EQ(mux.groupCount(), 1u);
-    for (int t = 0; t < 5; ++t) {
-        bank.observe(constantCounts(3.0));
-        mux.afterTick();
+    // Five slots: groups E1..E5, E6..E10, E11..E12. The last group
+    // leaves three slots idle.
+    PmcMultiplexer mux(5);
+    EXPECT_EQ(mux.groupCount(), 3u);
+    const auto counts = distinctCounts();
+    for (int g = 0; g < 3; ++g) {
+        tick(mux, counts);
+        const auto read = mux.readAndReset();
+        for (std::size_t e = 0; e < kNumEvents; ++e) {
+            const bool live = e / 5 == static_cast<std::size_t>(g);
+            EXPECT_DOUBLE_EQ(read[e], live ? counts[e] : 0.0)
+                << "group " << g << " event " << e;
+        }
     }
-    const auto read = mux.readAndReset();
-    EXPECT_DOUBLE_EQ(read[eventIndex(Event::RetiredInst)], 15.0);
-    EXPECT_DOUBLE_EQ(read[eventIndex(Event::RetiredUop)], 0.0);
+    // Back at group 0 after one full rotation.
+    tick(mux, counts);
+    EXPECT_DOUBLE_EQ(mux.readAndReset()[0], counts[0]);
 }
 
 // --- the zero-coverage contract (documented on readAndReset) ------------
@@ -220,32 +157,26 @@ TEST(MuxZeroCoverage, ZeroTickGroupReadsExactlyZero)
 {
     // Contract: a group that accumulated zero ticks since the last
     // reset reads exactly 0.0 for all its events — never a division
-    // by zero coverage. Here group 1 is starved for the whole window.
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList(), /*stagger=*/0);
-    bank.observe(constantCounts(100.0)); // one tick: group 0 only
-    mux.afterTick();
+    // by zero coverage. Here group 1 (E7..E12) is starved for the
+    // whole window.
+    PmcMultiplexer mux(6, /*stagger=*/0);
+    tick(mux, constantCounts(100.0)); // one tick: group 0 only
     ASSERT_EQ(mux.ticksSinceReset(), 1u);
     const auto read = mux.readAndReset();
-    for (std::size_t i = 0; i < kNumEvents; ++i) {
-        if (mux.groupOf(static_cast<Event>(i)) == 1u) {
-            EXPECT_DOUBLE_EQ(read[i], 0.0) << "event " << i;
-        }
-    }
+    for (std::size_t i = 6; i < kNumEvents; ++i)
+        EXPECT_DOUBLE_EQ(read[i], 0.0) << "event " << i;
 }
 
 TEST(MuxZeroCoverage, ZeroTickWindowReadsAllZero)
 {
     // Degenerate window: readAndReset with no ticks at all returns the
     // all-zero vector and leaves the multiplexer usable.
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
+    PmcMultiplexer mux(6);
     const auto read = mux.readAndReset();
     for (double v : read)
         EXPECT_DOUBLE_EQ(v, 0.0);
     EXPECT_EQ(mux.ticksSinceReset(), 0u);
-    bank.observe(constantCounts(5.0));
-    mux.afterTick();
+    tick(mux, constantCounts(5.0));
     EXPECT_GT(mux.readAndReset()[0], 0.0);
 }
 
@@ -253,93 +184,99 @@ TEST(MuxZeroCoverage, NoNanEverEscapes)
 {
     // Whatever mixture of starved and covered groups, the extrapolated
     // vector is always finite.
-    PmcBank bank(6);
-    PmcMultiplexer mux(bank, allEventList());
+    PmcMultiplexer mux(6);
     for (int t = 0; t < 3; ++t) {
-        bank.observe(constantCounts(11.0));
-        mux.afterTick();
+        tick(mux, constantCounts(11.0));
         const auto read = mux.readAndReset();
         for (double v : read)
             EXPECT_TRUE(std::isfinite(v));
     }
 }
 
-// --- counter wraparound -------------------------------------------------
-
-TEST(WrapDelta, IdentityWithoutWrap)
-{
-    EXPECT_EQ(wrapCounterDelta(100, 250, 48), 150u);
-    EXPECT_EQ(wrapCounterDelta(0, 0, 48), 0u);
-}
-
-TEST(WrapDelta, RecoversIncrementAcrossWrap)
-{
-    // prev near full scale, cur small: the true increment assuming at
-    // most one wrap.
-    const std::uint64_t max = (1ULL << 16) - 1;
-    EXPECT_EQ(wrapCounterDelta(max - 10, 5, 16), 16u);
-    EXPECT_EQ(wrapCounterDelta(max, 0, 16), 1u);
-}
-
-TEST(WrapDelta, FullWidthBoundary)
-{
-    const std::uint64_t max = (1ULL << 48) - 1;
-    EXPECT_EQ(wrapCounterDelta(max, 0, 48), 1u);
-    EXPECT_EQ(wrapCounterDelta(0, max, 48), max);
-}
-
-TEST(WrapDeltaDeath, RejectsOutOfRangeInputs)
-{
-    EXPECT_DEATH(wrapCounterDelta(0, 1, 0), "width");
-    EXPECT_DEATH(wrapCounterDelta(0, 1, 64), "width");
-    EXPECT_DEATH(wrapCounterDelta(1ULL << 20, 0, 16), "exceed");
-}
+// --- counter faults on the slots (the core's counter bank) -------------
 
 TEST(PmcBankWrap, UnboundedByDefault)
 {
-    PmcBank bank(6);
-    EXPECT_EQ(bank.wrapBits(), 0u);
-    EXPECT_EQ(bank.wrapEvents(), 0u);
+    PmcMultiplexer mux(12);
+    tick(mux, constantCounts(1e18));
+    EXPECT_EQ(mux.wrapEvents(), 0u);
+    EXPECT_DOUBLE_EQ(mux.readAndReset()[0], 1e18);
 }
 
 TEST(PmcBankWrap, CountWrapsAtConfiguredWidth)
 {
-    PmcBank bank(6);
-    bank.setWrapBits(8); // wraps at 256
-    bank.program(0, Event::RetiredInst);
-    EventVector counts{};
-    counts[eventIndex(Event::RetiredInst)] = 100.0;
-    bank.observe(counts);
-    bank.observe(counts);
-    EXPECT_DOUBLE_EQ(bank.read(0), 200.0);
-    bank.observe(counts); // 300 -> wraps to 44
-    EXPECT_DOUBLE_EQ(bank.read(0), 44.0);
-    EXPECT_EQ(bank.wrapEvents(), 1u);
-    EXPECT_DOUBLE_EQ(bank.maxCount(), 255.0);
+    PmcMultiplexer mux(12);
+    mux.setWrapBits(8); // wraps at 256
+    mux.observe(constantCounts(100.0));
+    mux.observe(constantCounts(100.0));
+    EXPECT_EQ(mux.wrapEvents(), 0u);
+    mux.observe(constantCounts(100.0)); // 300 -> wraps to 44
+    EXPECT_EQ(mux.wrapEvents(), kNumEvents);
+    mux.harvest();
+    for (double v : mux.readAndReset())
+        EXPECT_DOUBLE_EQ(v, 44.0);
+    mux.observe(constantCounts(512.0)); // exactly two wraps -> 0
+    EXPECT_EQ(mux.wrapEvents(), 3 * kNumEvents);
+    mux.harvest();
+    for (double v : mux.readAndReset())
+        EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(PmcBankWrap, WrappedCountRecoverableViaWrapDelta)
+TEST(MuxFault, SaturatedSlotReadsFullScale)
 {
-    // The raw-MSR polling discipline: remember the previous raw value,
-    // recover the true increment with wrapCounterDelta.
-    PmcBank bank(6);
-    bank.setWrapBits(8);
-    bank.program(0, Event::RetiredInst);
-    EventVector counts{};
-    counts[eventIndex(Event::RetiredInst)] = 100.0;
-    std::uint64_t prev = 0;
-    std::uint64_t recovered = 0;
-    for (int t = 0; t < 5; ++t) {
-        bank.observe(counts);
-        const auto cur = static_cast<std::uint64_t>(bank.read(0));
-        recovered += wrapCounterDelta(prev, cur, 8);
-        prev = cur;
-    }
-    EXPECT_EQ(recovered, 500u);
+    PmcMultiplexer mux(6);
+    mux.setWrapBits(8);
+    mux.observe(constantCounts(10.0));
+    mux.saturate(2); // slot 2 of group 0 counts E3
+    mux.harvest();
+    const auto read = mux.readAndReset();
+    EXPECT_DOUBLE_EQ(read[2], 255.0);
+    EXPECT_DOUBLE_EQ(read[1], 10.0);
+    EXPECT_DOUBLE_EQ(read[8], 0.0); // E9 (slot 2 of group 1) untouched
+}
+
+TEST(MuxFault, SaturatingAnIdleSlotChangesNothing)
+{
+    // Group 2 of a five-slot unit leaves slots 2..4 idle; corrupting
+    // one must not leak into the E3 that slot 2 counts in group 0.
+    PmcMultiplexer mux(5, /*stagger=*/2);
+    mux.setWrapBits(8);
+    mux.observe(constantCounts(1.0));
+    mux.saturate(2);
+    mux.harvest();
+    tick(mux, constantCounts(1.0)); // group 0
+    const auto read = mux.readAndReset();
+    EXPECT_DOUBLE_EQ(read[2], 2.0);
+    EXPECT_DOUBLE_EQ(read[10], 2.0);
+}
+
+TEST(MuxFault, SkippedHarvestCarriesIntoNextUnrotated)
+{
+    // The harvest misses a tick: its counts stay in the slots, add to
+    // the next tick's, and the pair is harvested as one tick of group 0.
+    PmcMultiplexer mux(6);
+    mux.observe(constantCounts(100.0)); // harvest dropped
+    tick(mux, constantCounts(50.0));
+    EXPECT_EQ(mux.ticksSinceReset(), 1u);
+    auto read = mux.readAndReset();
+    EXPECT_DOUBLE_EQ(read[0], 150.0);
+    EXPECT_DOUBLE_EQ(read[11], 0.0);
+    // Rotated once only: the next tick counts group 1.
+    tick(mux, constantCounts(7.0));
+    read = mux.readAndReset();
+    EXPECT_DOUBLE_EQ(read[0], 0.0);
+    EXPECT_DOUBLE_EQ(read[11], 7.0);
+}
+
+TEST(MuxDeath, SaturationNeedsAFiniteWidth)
+{
+    PmcMultiplexer mux(6);
+    EXPECT_DEATH(mux.saturate(0), "full scale");
+    EXPECT_DEATH(PmcMultiplexer(0), "at least one counter");
 }
 
 // Property sweep: with steady per-tick counts, extrapolation is exact
-// for any counter-bank width once every group has been observed.
+// for any slot count once every group has been observed.
 class WidthSweep : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -347,20 +284,18 @@ class WidthSweep : public ::testing::TestWithParam<std::size_t>
 TEST_P(WidthSweep, SteadyExtrapolationExact)
 {
     const std::size_t width = GetParam();
-    PmcBank bank(width);
-    PmcMultiplexer mux(bank, allEventList());
+    PmcMultiplexer mux(width);
     const std::size_t groups = mux.groupCount();
     const std::size_t ticks = groups * 6; // every group observed equally
-    for (std::size_t t = 0; t < ticks; ++t) {
-        bank.observe(constantCounts(7.0));
-        mux.afterTick();
-    }
+    for (std::size_t t = 0; t < ticks; ++t)
+        tick(mux, constantCounts(7.0));
     const auto read = mux.readAndReset();
     for (std::size_t i = 0; i < kNumEvents; ++i)
         EXPECT_NEAR(read[i], 7.0 * static_cast<double>(ticks), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, WidthSweep,
-                         ::testing::Values(1u, 2u, 3u, 4u, 6u, 12u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 12u,
+                                           16u));
 
 } // namespace
