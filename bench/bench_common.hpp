@@ -51,17 +51,6 @@ allCombos()
     return out;
 }
 
-/** A diverse training set: every single-program combination (49). */
-inline std::vector<const workloads::Combination *>
-singleProgramCombos()
-{
-    std::vector<const workloads::Combination *> out;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1)
-            out.push_back(&c);
-    return out;
-}
-
 /**
  * The full model stack for a Sec. V style bench: trained once, then
  * served from the ModelStore cache on every later bench run (loading
@@ -73,7 +62,7 @@ trainModels(const sim::ChipConfig &cfg)
     runtime::ModelStore store;
     bool cached = false;
     auto models =
-        store.trainOrLoad(cfg, kSeed, singleProgramCombos(), &cached);
+        store.trainOrLoad(cfg, kSeed, workloads::singleProgramCombinations(), &cached);
     if (cached)
         std::printf("(PPEP models loaded from %s)\n",
                     store.cacheDir().c_str());

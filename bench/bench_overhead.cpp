@@ -42,7 +42,7 @@ struct Context
         : models([this] {
               model::Trainer trainer(cfg, bench::kSeed);
               // A compact training set keeps benchmark startup quick.
-              auto combos = bench::singleProgramCombos();
+              auto combos = workloads::singleProgramCombinations();
               combos.resize(12);
               return trainer.trainAll(combos);
           }()),

@@ -85,11 +85,8 @@ main(int argc, char **argv)
 
     std::printf("Training PPEP models...\n");
     model::Trainer trainer(cfg, 42);
-    std::vector<const workloads::Combination *> training;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1)
-            training.push_back(&c);
-    const auto models = trainer.trainAll(training);
+    const auto models =
+        trainer.trainAll(workloads::singleProgramCombinations());
 
     // Policy 1: the paper's setting — boost disabled, pinned at VF5.
     const auto no_boost = run(

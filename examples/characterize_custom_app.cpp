@@ -40,11 +40,8 @@ main(int argc, char **argv)
     } else {
         std::printf("training models (one-time)...\n");
         model::Trainer trainer(cfg, 42);
-        std::vector<const workloads::Combination *> training;
-        for (const auto &c : workloads::allCombinations())
-            if (c.instances.size() == 1)
-                training.push_back(&c);
-        models = trainer.trainAll(training);
+        models =
+            trainer.trainAll(workloads::singleProgramCombinations());
         model::saveModels(models, models_path);
         std::printf("models written to %s\n", models_path.c_str());
     }

@@ -36,13 +36,10 @@ main(int argc, char **argv)
     }
 
     const auto cfg = sim::fx8320Config();
-    std::vector<const workloads::Combination *> training;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1)
-            training.push_back(&c);
     runtime::ModelStore store;
     bool cached = false;
-    const auto models = store.trainOrLoad(cfg, 42, training, &cached);
+    const auto models = store.trainOrLoad(
+        cfg, 42, workloads::singleProgramCombinations(), &cached);
     std::printf(cached
                     ? "Loaded cached PPEP models.\n"
                     : "Trained PPEP models (one-time offline step, now "

@@ -35,11 +35,8 @@ main(int argc, char **argv)
     const auto cfg = sim::fx8320Config();
     std::printf("Training PPEP models (one-time offline step)...\n");
     model::Trainer trainer(cfg, 42);
-    std::vector<const workloads::Combination *> training;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1)
-            training.push_back(&c);
-    const auto models = trainer.trainAll(training);
+    const auto models =
+        trainer.trainAll(workloads::singleProgramCombinations());
     const model::Ppep ppep(cfg, models.chip, models.pg);
 
     const governor::EnergyExplorer explorer(cfg, ppep, 7);

@@ -26,16 +26,6 @@ secondsSince(clock::time_point t0)
     return std::chrono::duration<double>(clock::now() - t0).count();
 }
 
-std::vector<const workloads::Combination *>
-defaultTrainingCombos()
-{
-    std::vector<const workloads::Combination *> out;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1)
-            out.push_back(&c);
-    return out;
-}
-
 /**
  * Run @p f, recording anything it throws into @p res.error instead of
  * letting it escape: a failing session must not take the pool down.
@@ -93,7 +83,7 @@ Fleet::prepare()
     if (!entries_.empty())
         return;
     const auto combos = spec_.training_combos ? *spec_.training_combos
-                                              : defaultTrainingCombos();
+                                              : workloads::singleProgramCombinations();
 
     // Resolve every session's config to a registry entry keyed by the
     // ModelStore platform fingerprint: fingerprint-identical configs

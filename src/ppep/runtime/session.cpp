@@ -16,18 +16,6 @@ namespace {
 /** The cap limit of an interval no arbiter constrains. */
 constexpr double kNoCapLimitW = std::numeric_limits<double>::max();
 
-std::vector<const workloads::Combination *>
-defaultTrainingCombos()
-{
-    // Every single-program combination: the diverse one-time training
-    // set the repo's daemons and benches standardise on.
-    std::vector<const workloads::Combination *> out;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1)
-            out.push_back(&c);
-    return out;
-}
-
 } // namespace
 
 GovernorFactory
@@ -329,7 +317,7 @@ Session::Builder::build()
     } else if (needs_models) {
         const auto combos =
             training_combos_ ? *training_combos_
-                             : defaultTrainingCombos();
+                             : workloads::singleProgramCombinations();
         if (store_) {
             state->models = store_->trainOrLoad(
                 state->cfg, training_seed_, combos,

@@ -424,6 +424,17 @@ allCombinations()
 }
 
 std::vector<const Combination *>
+singleProgramCombinations()
+{
+    std::vector<const Combination *> out;
+    for (const auto &c : allCombinations()) {
+        if (c.instances.size() == 1)
+            out.push_back(&c);
+    }
+    return out;
+}
+
+std::vector<const Combination *>
 combinationsBySuite(SuiteId id)
 {
     std::vector<const Combination *> out;

@@ -99,6 +99,12 @@ struct Combination
 /** The full 152-combination list (61 SPEC + 51 PARSEC + 40 NPB). */
 const std::vector<Combination> &allCombinations();
 
+/**
+ * Every single-program combination (49), in allCombinations() order:
+ * the diverse one-time training set the daemons and benches share.
+ */
+std::vector<const Combination *> singleProgramCombinations();
+
 /** Combinations of one suite. */
 std::vector<const Combination *> combinationsBySuite(SuiteId id);
 
