@@ -61,8 +61,8 @@ trainModels(const sim::ChipConfig &cfg)
 {
     runtime::ModelStore store;
     bool cached = false;
-    auto models =
-        store.trainOrLoad(cfg, kSeed, workloads::singleProgramCombinations(), &cached);
+    auto models = store.trainOrLoad(
+        cfg, kSeed, workloads::singleProgramCombinations(), &cached);
     if (cached)
         std::printf("(PPEP models loaded from %s)\n",
                     store.cacheDir().c_str());

@@ -53,7 +53,8 @@ main()
     cfg.per_cu_voltage = true;
 
     model::Trainer trainer(cfg, bench::kSeed);
-    const auto models = trainer.trainAll(workloads::singleProgramCombinations());
+    const auto models =
+        trainer.trainAll(workloads::singleProgramCombinations());
     const model::Ppep ppep(cfg, models.chip, models.pg);
 
     // A large square-wave cap swing, as in the paper's demonstration.

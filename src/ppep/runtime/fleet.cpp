@@ -82,8 +82,9 @@ Fleet::prepare()
 {
     if (!entries_.empty())
         return;
-    const auto combos = spec_.training_combos ? *spec_.training_combos
-                                              : workloads::singleProgramCombinations();
+    const auto combos = spec_.training_combos
+                            ? *spec_.training_combos
+                            : workloads::singleProgramCombinations();
 
     // Resolve every session's config to a registry entry keyed by the
     // ModelStore platform fingerprint: fingerprint-identical configs

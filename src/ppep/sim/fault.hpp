@@ -33,7 +33,7 @@ namespace ppep::sim {
 /** How imperfect the hardware should be. All rates default to zero. */
 struct FaultPlan
 {
-    // --- counter acquisition (MsrDevice / PmcBank / PmcMultiplexer) ----
+    // --- counter acquisition (Chip::tryReadPmc / PmcMultiplexer) -------
     /** Probability one PMC read-out attempt fails (EAGAIN-style). */
     double msr_read_fail_p = 0.0;
     /** Physical counter width in bits; 0 leaves counters unbounded.
