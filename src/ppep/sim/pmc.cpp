@@ -7,11 +7,11 @@
 namespace ppep::sim {
 
 PmcMultiplexer::PmcMultiplexer(std::size_t n_slots, std::size_t stagger)
-    : n_slots_(n_slots),
-      n_groups_(n_slots ? (kNumEvents + n_slots - 1) / n_slots : 0),
-      group_(n_groups_ ? stagger % n_groups_ : 0)
+    : n_slots_(n_slots)
 {
     PPEP_ASSERT(n_slots >= 1, "need at least one counter");
+    n_groups_ = (kNumEvents + n_slots - 1) / n_slots;
+    group_ = stagger % n_groups_;
 }
 
 void
