@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
+#include <string_view>
 #include <thread>
 
 #include "ppep/model/trainer.hpp"
@@ -75,6 +77,21 @@ Fleet::Fleet(FleetSpec spec) : spec_(std::move(spec))
     for (std::size_t i = 0; i < spec_.sessions.size(); ++i)
         if (spec_.sessions[i].name.empty())
             spec_.sessions[i].name = "s" + std::to_string(i);
+    // A session name keys its CSV file and its replay stream, so it
+    // must be unique and, when recording or replaying, fit the stream
+    // table.
+    const bool traced =
+        !spec_.record_path.empty() || !spec_.replay_path.empty();
+    std::set<std::string_view> names;
+    for (const FleetSessionSpec &ss : spec_.sessions) {
+        if (!names.insert(ss.name).second)
+            PPEP_FATAL("fleet session name '", ss.name,
+                       "' is not unique");
+        if (traced && ss.name.size() > trace::kMaxStreamNameBytes)
+            PPEP_FATAL("fleet session name '", ss.name, "' is longer "
+                       "than the ", trace::kMaxStreamNameBytes,
+                       " bytes a replay stream name holds");
+    }
 }
 
 void

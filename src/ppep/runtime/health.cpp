@@ -18,7 +18,8 @@ HealthMonitor::HealthMonitor(HealthPolicy policy) : policy_(policy)
 }
 
 void
-HealthMonitor::observe(const SampleHealth &health, double predicted_w,
+HealthMonitor::observe(const trace::SampleHealth &health,
+                       double predicted_w,
                        double measured_w) PPEP_NONBLOCKING
 {
     ++intervals_;

@@ -22,7 +22,8 @@
 
 #include <cstddef>
 
-#include "ppep/runtime/sampler.hpp"
+#include "ppep/trace/interval.hpp"
+#include "ppep/util/annotations.hpp"
 
 namespace ppep::runtime {
 
@@ -64,7 +65,7 @@ class HealthMonitor
      *                    tracking is skipped for that interval.
      * @param measured_w  sensor power the interval actually measured.
      */
-    void observe(const SampleHealth &health, double predicted_w,
+    void observe(const trace::SampleHealth &health, double predicted_w,
                  double measured_w) PPEP_NONBLOCKING;
 
     /** Current verdict. */

@@ -15,30 +15,13 @@ void
 RecorderSink::onInterval(const IntervalTelemetry &t)
 {
     PPEP_ASSERT(t.rec != nullptr, "telemetry carries no record");
-    if (builder_.withHealth()) {
-        // A hardened session always attaches its Sampler's health; a
-        // recorder configured with_health on a plain session is a
-        // harness bug, not a data error.
-        PPEP_ASSERT(t.health != nullptr,
-                    "with_health recorder saw an interval without "
-                    "health");
-        const SampleHealth &h = *t.health;
-        trace::ReplayHealth rh;
-        rh.msr_retries = h.msr_retries;
-        rh.msr_failed_cores = h.msr_failed_cores;
-        rh.pmc_rejected_cores = h.pmc_rejected_cores;
-        rh.substituted_cores = h.substituted_cores;
-        rh.zeroed_cores = h.zeroed_cores;
-        rh.sensor_rejects = h.sensor_rejects;
-        rh.diode_rejects = h.diode_rejects;
-        rh.ticks = h.ticks;
-        rh.timing_overrun = h.timing_overrun;
-        rh.pmc_wrap_events = h.pmc_wrap_events;
-        rh.total_fault_events = h.total_fault_events;
-        builder_.addFrame(t.time_s, t.cap_w, *t.rec, &rh);
-    } else {
-        builder_.addFrame(t.time_s, t.cap_w, *t.rec, nullptr);
-    }
+    // A hardened session always attaches its Sampler's health; a
+    // recorder configured with_health on a plain session is a harness
+    // bug, not a data error.
+    PPEP_ASSERT(t.health != nullptr || !builder_.withHealth(),
+                "with_health recorder saw an interval without health");
+    builder_.addFrame(t.time_s, t.cap_w, *t.rec,
+                      builder_.withHealth() ? t.health : nullptr);
 }
 
 } // namespace ppep::runtime

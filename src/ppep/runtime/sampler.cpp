@@ -7,8 +7,40 @@
 
 namespace ppep::runtime {
 
+namespace {
+
+/**
+ * Interval mean of the samples inside [lo, hi]. Per-sample sanity
+ * guards reject NaN/Inf and physically impossible readings (counted in
+ * @p rejects) instead of folding them into the mean. An accepted mean
+ * becomes the new @p last_good; a fully-rejected stream returns the
+ * last good interval's mean. When every sample passes, the arithmetic
+ * is the Collector's sum * (1/n) bit for bit.
+ */
+double
+guardedMean(const std::vector<double> &samples, double lo, double hi,
+            std::size_t &rejects, double &last_good) PPEP_NONBLOCKING
+{
+    double sum = 0.0;
+    std::size_t ok = 0;
+    for (double v : samples) {
+        if (std::isfinite(v) && v >= lo && v <= hi) {
+            sum += v;
+            ++ok;
+        }
+    }
+    rejects += samples.size() - ok;
+    if (ok == samples.size())
+        last_good = sum * (1.0 / static_cast<double>(ok));
+    else if (ok > 0)
+        last_good = sum / static_cast<double>(ok);
+    return last_good;
+}
+
+} // namespace
+
 Sampler::Sampler(sim::Chip &chip, SamplerPolicy policy)
-    : chip_(chip), policy_(policy),
+    : chip_(chip), policy_(policy), collector_(chip),
       last_good_pmc_(chip.config().coreCount(), sim::EventVector{}),
       staleness_(chip.config().coreCount(), 0),
       last_good_power_w_(0.0),
@@ -19,6 +51,10 @@ Sampler::Sampler(sim::Chip &chip, SamplerPolicy policy)
                     policy_.min_power_w < policy_.max_power_w &&
                     policy_.min_cpi < policy_.max_cpi,
                 "sampler plausibility windows must be non-empty");
+    // A jittered interval runs up to tick_jitter_max extra ticks.
+    if (const sim::FaultInjector *inj = chip.faultInjector())
+        collector_.reserveTicks(chip.config().ticks_per_interval +
+                                inj->plan().tick_jitter_max);
 }
 
 bool
@@ -53,14 +89,6 @@ Sampler::countsPlausible(const sim::EventVector &counts,
     return true;
 }
 
-trace::IntervalRecord
-Sampler::collectInterval()
-{
-    trace::IntervalRecord rec;
-    collectIntervalInto(rec);
-    return rec;
-}
-
 void
 Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
 {
@@ -72,7 +100,7 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
     // Carry the cumulative tallies across the per-interval reset.
     const std::size_t carried_total =
         health_.total_fault_events + health_.faultEvents();
-    health_ = SampleHealth{};
+    health_ = trace::SampleHealth{};
     health_.total_fault_events = carried_total;
 
     // The daemon's alarm may fire early or late; measure what actually
@@ -82,100 +110,14 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
     health_.ticks = n_ticks;
     health_.timing_overrun = n_ticks != nominal;
 
-    rec.duration_s = cfg.tick_s * static_cast<double>(n_ticks);
-    rec.sensor_power_w = 0.0;
-    rec.diode_temp_k = 0.0;
-    rec.true_power_w = 0.0;
-    rec.true_dynamic_w = 0.0;
-    rec.true_idle_w = 0.0;
-    rec.true_nb_power_w = 0.0;
-    rec.true_temp_k = 0.0;
-    rec.nb_utilization = 0.0;
-    rec.busy_cores = 0;
-    // rt-escape: warm-up growth of the caller-owned record and member
-    // scratch; no-ops once sized (test_zero_alloc).
-    PPEP_RT_WARMUP_BEGIN
-    rec.oracle.assign(n_cores, sim::EventVector{});
-    rec.cu_vf.resize(cfg.n_cus);
-    retired_.assign(n_cores, 0.0);
-    PPEP_RT_WARMUP_END
-    for (std::size_t cu = 0; cu < cfg.n_cus; ++cu)
-        rec.cu_vf[cu] = chip_.cuVf(cu);
-    rec.nb_vf = chip_.nbVf();
+    collector_.runTicks(n_ticks, rec);
 
-    double sensor_sum = 0.0;
-    double diode_sum = 0.0;
-    std::size_t sensor_ok = 0;
-    std::size_t diode_ok = 0;
-    for (std::size_t t = 0; t < n_ticks; ++t) {
-        chip_.stepInto(tick_);
-        // Per-sample sanity guards: reject NaN/Inf and physically
-        // impossible readings instead of folding them into the mean.
-        if (std::isfinite(tick_.sensor_power_w) &&
-            tick_.sensor_power_w >= policy_.min_power_w &&
-            tick_.sensor_power_w <= policy_.max_power_w) {
-            sensor_sum += tick_.sensor_power_w;
-            ++sensor_ok;
-        } else {
-            ++health_.sensor_rejects;
-        }
-        if (std::isfinite(tick_.diode_temp_k) &&
-            tick_.diode_temp_k >= policy_.min_temp_k &&
-            tick_.diode_temp_k <= policy_.max_temp_k) {
-            diode_sum += tick_.diode_temp_k;
-            ++diode_ok;
-        } else {
-            ++health_.diode_rejects;
-        }
-        rec.true_power_w += tick_.truth.power.total;
-        rec.true_dynamic_w += tick_.truth.power.coreDynamicTotal() +
-                              tick_.truth.power.nb_dynamic;
-        rec.true_idle_w += tick_.truth.power.base +
-                           tick_.truth.power.housekeeping +
-                           tick_.truth.power.nb_static +
-                           tick_.truth.power.cuIdleTotal();
-        rec.true_nb_power_w += tick_.truth.power.nb_static +
-                               tick_.truth.power.nb_dynamic;
-        rec.true_temp_k += tick_.truth.temperature_k;
-        rec.nb_utilization += tick_.truth.nb_utilization;
-        for (std::size_t c = 0; c < n_cores; ++c) {
-            for (std::size_t e = 0; e < sim::kNumEvents; ++e)
-                rec.oracle[c][e] += tick_.truth.core_events[c][e];
-            retired_[c] += tick_.truth.activity[c].instructions;
-        }
-    }
-
-    const double inv = 1.0 / static_cast<double>(n_ticks);
-    rec.true_power_w *= inv;
-    rec.true_dynamic_w *= inv;
-    rec.true_idle_w *= inv;
-    rec.true_nb_power_w *= inv;
-    rec.true_temp_k *= inv;
-    rec.nb_utilization *= inv;
-
-    // Interval means over the *accepted* samples; a fully-rejected
-    // stream substitutes the last good interval's mean. When every
-    // sample was accepted the arithmetic matches the Collector's
-    // sum * (1/n) bit for bit.
-    if (sensor_ok == n_ticks) {
-        rec.sensor_power_w = sensor_sum * inv;
-        last_good_power_w_ = rec.sensor_power_w;
-    } else if (sensor_ok > 0) {
-        rec.sensor_power_w =
-            sensor_sum / static_cast<double>(sensor_ok);
-        last_good_power_w_ = rec.sensor_power_w;
-    } else {
-        rec.sensor_power_w = last_good_power_w_;
-    }
-    if (diode_ok == n_ticks) {
-        rec.diode_temp_k = diode_sum * inv;
-        last_good_temp_k_ = rec.diode_temp_k;
-    } else if (diode_ok > 0) {
-        rec.diode_temp_k = diode_sum / static_cast<double>(diode_ok);
-        last_good_temp_k_ = rec.diode_temp_k;
-    } else {
-        rec.diode_temp_k = last_good_temp_k_;
-    }
+    rec.sensor_power_w = guardedMean(
+        collector_.sensorSamples(), policy_.min_power_w,
+        policy_.max_power_w, health_.sensor_rejects, last_good_power_w_);
+    rec.diode_temp_k = guardedMean(
+        collector_.diodeSamples(), policy_.min_temp_k, policy_.max_temp_k,
+        health_.diode_rejects, last_good_temp_k_);
 
     // Counter read-out: bounded retry, window normalisation, sanity
     // guards, then last-good substitution under a staleness budget.
@@ -208,7 +150,7 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
                     v *= scale;
             }
             sane = countsPlausible(counts, rec.duration_s);
-            if (read_ok && !sane)
+            if (!sane)
                 ++health_.pmc_rejected_cores;
         } else {
             ++health_.msr_failed_cores;
@@ -227,8 +169,6 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
             ++health_.zeroed_cores;
             rec.pmc[c] = sim::EventVector{};
         }
-        if (retired_[c] > 0.0)
-            ++rec.busy_cores;
     }
 
     if (injector)

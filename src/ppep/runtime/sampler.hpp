@@ -4,8 +4,10 @@
  *
  * trace::Collector assumes perfect hardware: every sensor sample is
  * finite and plausible, every PMC read succeeds, every interval is
- * exactly ticks_per_interval long. The Sampler assumes none of that. It
- * owns the acquisition path a production daemon needs:
+ * exactly ticks_per_interval long. The Sampler assumes none of that.
+ * It runs the Collector's tick loop (Collector::runTicks) over the
+ * interval's actual tick count and replaces only the Collector's
+ * trusting read-out:
  *
  *  - bounded retry on failed PMC read-outs, with tick-count
  *    normalisation when a retry finally reads a multi-interval window
@@ -20,8 +22,8 @@
  *  - interval-timing tolerance: jittered/overrun intervals report their
  *    true duration so downstream rate math stays correct.
  *
- * Every intervention is counted in a SampleHealth record, which the
- * HealthMonitor and telemetry sinks consume. On clean hardware the
+ * Every intervention is counted in a trace::SampleHealth record, which
+ * the HealthMonitor and telemetry sinks consume. On clean hardware the
  * Sampler's records are identical to the Collector's.
  */
 
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "ppep/sim/chip.hpp"
-#include "ppep/sim/fault.hpp"
 #include "ppep/trace/collector.hpp"
 #include "ppep/trace/interval.hpp"
 
@@ -67,46 +68,6 @@ struct SamplerPolicy
     double max_events_per_cycle = 8.0;
 };
 
-/** Everything the Sampler did to one interval (plus cumulative state). */
-struct SampleHealth
-{
-    // --- this interval --------------------------------------------------
-    /** Failed PMC read-out attempts that were retried. */
-    std::size_t msr_retries = 0;
-    /** Cores whose read-out failed every attempt this interval. */
-    std::size_t msr_failed_cores = 0;
-    /** Cores whose counter set failed the sanity guards. */
-    std::size_t pmc_rejected_cores = 0;
-    /** Cores reporting last-good substitute counts. */
-    std::size_t substituted_cores = 0;
-    /** Cores degraded to the all-zero sentinel (budget exhausted). */
-    std::size_t zeroed_cores = 0;
-    /** Sensor samples rejected (NaN/Inf or outside the window). */
-    std::size_t sensor_rejects = 0;
-    /** Diode samples rejected. */
-    std::size_t diode_rejects = 0;
-    /** Ticks this interval actually ran. */
-    std::size_t ticks = 0;
-    /** True when ticks != the configured nominal interval length. */
-    bool timing_overrun = false;
-
-    /** Fault-relevant events this interval (the health-policy input). */
-    std::size_t faultEvents() const
-    {
-        return msr_retries + msr_failed_cores + pmc_rejected_cores +
-               substituted_cores + zeroed_cores + sensor_rejects +
-               diode_rejects + (timing_overrun ? 1 : 0);
-    }
-
-    // --- cumulative since construction ----------------------------------
-    /** Snapshot of the chip injector's counters (zero when absent). */
-    sim::FaultCounters injected{};
-    /** Total PMC wraparounds the hardware performed. */
-    std::size_t pmc_wrap_events = 0;
-    /** Running sum of faultEvents() over all intervals. */
-    std::size_t total_fault_events = 0;
-};
-
 /** Hardened tick-accurate interval acquisition bound to one chip. */
 class Sampler : public trace::IntervalSource
 {
@@ -114,14 +75,12 @@ class Sampler : public trace::IntervalSource
     explicit Sampler(sim::Chip &chip, SamplerPolicy policy = {});
 
     /** Run one interval with the full retry/guard/substitute path. */
-    trace::IntervalRecord collectInterval() override;
-
-    /** Allocation-free collectInterval() (bit-identical records). */
     void collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
         override;
 
     /** Health record of the most recent interval. */
-    const SampleHealth &lastHealth() const { return health_; }
+    const trace::SampleHealth &lastHealth() const { return health_; }
+    const trace::SampleHealth *health() const override { return &health_; }
 
     /** The acquisition policy in force. */
     const SamplerPolicy &policy() const { return policy_; }
@@ -133,11 +92,9 @@ class Sampler : public trace::IntervalSource
 
     sim::Chip &chip_;
     SamplerPolicy policy_;
-    SampleHealth health_;
-
-    /** Per-interval scratch reused by collectIntervalInto(). */
-    sim::TickResult tick_;
-    std::vector<double> retired_;
+    trace::SampleHealth health_;
+    /** The tick loop and its scratch. */
+    trace::Collector collector_;
 
     // Last-good state for substitution.
     std::vector<sim::EventVector> last_good_pmc_;

@@ -83,16 +83,14 @@ struct Session::State
     std::optional<ModelStore> lineage_store;
     std::vector<std::string> sink_errors;
     // Replay ingest: the session reads recorded intervals instead of
-    // simulating. The frame's context replaces what the chip/Sampler
-    // would have provided.
+    // simulating. The frame's context replaces what the chip would
+    // have provided.
     trace::ReplaySource *replay = nullptr;
-    double replay_time_s = 0.0;
-    SampleHealth replay_health;
 
-    // The one persistent governed interval. The loop reads the source
-    // (the Sampler when hardened, otherwise the Collector; replay
-    // decodes frames in collect() instead) and is declared last so it
-    // dies before everything it references.
+    // The one persistent governed interval. The source is the replay
+    // stream, else the Sampler when hardened, else the Collector; its
+    // health() is the interval's health record. The loop is declared
+    // last so it dies before everything it references.
     std::optional<trace::Collector> collector;
     trace::IntervalSource *source = nullptr;
     governor::GovernorStep step;
@@ -101,18 +99,6 @@ struct Session::State
      *  schedule's, continuing across run()/drive() calls. */
     std::size_t index = 0;
     std::optional<governor::GovernorLoop> loop;
-
-    /** The health record the current interval was observed with:
-     *  decoded from the replay frame, or the live Sampler's. Only
-     *  meaningful when hasObservedHealth(). */
-    const SampleHealth &observedHealth() const
-    {
-        return replay ? replay_health : sampler->lastHealth();
-    }
-    bool hasObservedHealth() const
-    {
-        return replay ? replay->hasHealth() : sampler.has_value();
-    }
 };
 
 Session::Builder::Builder(sim::ChipConfig cfg) : cfg_(std::move(cfg)) {}
@@ -417,8 +403,11 @@ Session::Builder::build()
             std::make_unique<governor::DegradedModeGovernor>(
                 *state->chip, *state->gov,
                 [st](const trace::IntervalRecord &rec) {
+                    // A replayed stream without a health block reads
+                    // as clean acquisition.
+                    const trace::SampleHealth *h = st->source->health();
                     st->monitor->observe(
-                        st->observedHealth(),
+                        h ? *h : trace::SampleHealth{},
                         st->degraded_gov->lastPredictedPower(),
                         rec.sensor_power_w);
                     return st->monitor->degraded();
@@ -457,7 +446,9 @@ Session::Builder::build()
     }
 
     state->replay = replay_;
-    if (state->sampler) {
+    if (state->replay) {
+        state->source = state->replay;
+    } else if (state->sampler) {
         state->source = &*state->sampler;
     } else {
         state->collector.emplace(*state->chip);
@@ -528,29 +519,6 @@ Session::replayFrame()
                    s.index, " does not match the session schedule's ",
                    want_cap_w, " W");
     s.step.cu_vf = s.step.rec.cu_vf;
-    s.replay_time_s = s.replay->frameTimeS();
-    if (s.replay->hasHealth()) {
-        const trace::ReplayHealth &rh = s.replay->frameHealth();
-        SampleHealth &h = s.replay_health;
-        h.msr_retries = static_cast<std::size_t>(rh.msr_retries);
-        h.msr_failed_cores =
-            static_cast<std::size_t>(rh.msr_failed_cores);
-        h.pmc_rejected_cores =
-            static_cast<std::size_t>(rh.pmc_rejected_cores);
-        h.substituted_cores =
-            static_cast<std::size_t>(rh.substituted_cores);
-        h.zeroed_cores = static_cast<std::size_t>(rh.zeroed_cores);
-        h.sensor_rejects =
-            static_cast<std::size_t>(rh.sensor_rejects);
-        h.diode_rejects =
-            static_cast<std::size_t>(rh.diode_rejects);
-        h.ticks = static_cast<std::size_t>(rh.ticks);
-        h.timing_overrun = rh.timing_overrun;
-        h.pmc_wrap_events =
-            static_cast<std::size_t>(rh.pmc_wrap_events);
-        h.total_fault_events =
-            static_cast<std::size_t>(rh.total_fault_events);
-    }
 }
 
 void
@@ -578,7 +546,7 @@ Session::observe(double decision_latency_s)
     // below zero; clamp rather than report negative time. Replay
     // serves the recorded timestamp: the chip never steps.
     t.time_s = s.replay
-                   ? s.replay_time_s
+                   ? s.replay->frameTimeS()
                    : std::max(0.0, s.chip->timeS() - step.rec.duration_s);
     t.rec = &step.rec;
     t.cu_vf = &step.cu_vf;
@@ -586,7 +554,7 @@ Session::observe(double decision_latency_s)
     t.predicted_power_w = s.pending_pred;
     t.exploration = s.gov->lastExploration();
     t.decision_latency_s = decision_latency_s;
-    t.health = s.hasObservedHealth() ? &s.observedHealth() : nullptr;
+    t.health = s.source->health();
     t.degraded = s.degraded_gov ? s.degraded_gov->degradedNow() : false;
     if (s.monitor)
         t.divergence_ewma_w = s.monitor->divergenceEwma();
@@ -602,7 +570,8 @@ Session::observe(double decision_latency_s)
         // trigger so a freshly reset EWMA cannot immediately
         // re-dispatch.
         s.recal->observeInterval(
-            step.rec, s.observedHealth().faultEvents() == 0, t.index);
+            step.rec, !t.health || t.health->faultEvents() == 0,
+            t.index);
         if (const auto *ver = s.recal->adoptIfDue(t.index)) {
             s.degraded_gov->setInner(*ver->gov);
             s.monitor->noteModelSwap();

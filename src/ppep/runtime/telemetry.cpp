@@ -435,18 +435,8 @@ DigestSink::onInterval(const IntervalTelemetry &t) PPEP_NONBLOCKING
     }
 
     if (t.health) {
-        const SampleHealth &h = *t.health;
-        mixU64(h.msr_retries);
-        mixU64(h.msr_failed_cores);
-        mixU64(h.pmc_rejected_cores);
-        mixU64(h.substituted_cores);
-        mixU64(h.zeroed_cores);
-        mixU64(h.sensor_rejects);
-        mixU64(h.diode_rejects);
-        mixU64(h.ticks);
-        mixU64(h.timing_overrun ? 1 : 0);
-        mixU64(h.pmc_wrap_events);
-        mixU64(h.total_fault_events);
+        for (std::uint64_t w : t.health->words())
+            mixU64(w);
         mixDouble(t.divergence_ewma_w);
     }
 

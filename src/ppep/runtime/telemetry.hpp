@@ -28,7 +28,6 @@
 
 #include "ppep/governor/governor.hpp"
 #include "ppep/model/ppep.hpp"
-#include "ppep/runtime/sampler.hpp"
 #include "ppep/trace/interval.hpp"
 #include "ppep/util/fmt.hpp"
 
@@ -72,11 +71,11 @@ struct IntervalTelemetry
     double decision_latency_s = 0.0;
 
     /**
-     * The hardened Sampler's health record for this interval; nullptr
-     * when the session runs the perfect-acquisition Collector. Valid
-     * only during the callback.
+     * The interval source's health record: the hardened Sampler's, or
+     * a replayed frame's; nullptr when the session runs the
+     * perfect-acquisition Collector. Valid only during the callback.
      */
-    const SampleHealth *health = nullptr;
+    const trace::SampleHealth *health = nullptr;
 
     /** True when the decision that ended this interval ran the
      *  degraded-mode safe policy instead of the configured governor. */

@@ -4,26 +4,34 @@
 
 namespace ppep::trace {
 
-Collector::Collector(sim::Chip &chip) : chip_(chip) {}
-
 IntervalRecord
-Collector::collectInterval()
+IntervalSource::collectInterval()
 {
     IntervalRecord rec;
     collectIntervalInto(rec);
     return rec;
 }
 
+Collector::Collector(sim::Chip &chip) : chip_(chip)
+{
+    reserveTicks(chip.config().ticks_per_interval);
+}
+
 void
-Collector::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
+Collector::reserveTicks(std::size_t n_ticks)
+{
+    sensor_.reserve(n_ticks);
+    diode_.reserve(n_ticks);
+}
+
+void
+Collector::runTicks(std::size_t n_ticks, IntervalRecord &rec)
+    PPEP_NONBLOCKING
 {
     const auto &cfg = chip_.config();
     const std::size_t n_cores = cfg.coreCount();
-    const std::size_t n_ticks = cfg.ticks_per_interval;
 
     rec.duration_s = cfg.tick_s * static_cast<double>(n_ticks);
-    rec.sensor_power_w = 0.0;
-    rec.diode_temp_k = 0.0;
     rec.true_power_w = 0.0;
     rec.true_dynamic_w = 0.0;
     rec.true_idle_w = 0.0;
@@ -37,6 +45,8 @@ Collector::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
     rec.oracle.assign(n_cores, sim::EventVector{});
     rec.cu_vf.resize(cfg.n_cus);
     retired_.assign(n_cores, 0.0);
+    sensor_.resize(n_ticks);
+    diode_.resize(n_ticks);
     PPEP_RT_WARMUP_END
     for (std::size_t cu = 0; cu < cfg.n_cus; ++cu)
         rec.cu_vf[cu] = chip_.cuVf(cu);
@@ -44,8 +54,8 @@ Collector::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
 
     for (std::size_t t = 0; t < n_ticks; ++t) {
         chip_.stepInto(tick_);
-        rec.sensor_power_w += tick_.sensor_power_w;
-        rec.diode_temp_k += tick_.diode_temp_k;
+        sensor_[t] = tick_.sensor_power_w;
+        diode_[t] = tick_.diode_temp_k;
         rec.true_power_w += tick_.truth.power.total;
         rec.true_dynamic_w += tick_.truth.power.coreDynamicTotal() +
                               tick_.truth.power.nb_dynamic;
@@ -65,24 +75,40 @@ Collector::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
     }
 
     const double inv = 1.0 / static_cast<double>(n_ticks);
-    rec.sensor_power_w *= inv;
-    rec.diode_temp_k *= inv;
     rec.true_power_w *= inv;
     rec.true_dynamic_w *= inv;
     rec.true_idle_w *= inv;
     rec.true_nb_power_w *= inv;
     rec.true_temp_k *= inv;
     rec.nb_utilization *= inv;
+    for (std::size_t c = 0; c < n_cores; ++c)
+        if (retired_[c] > 0.0)
+            ++rec.busy_cores;
+}
 
+void
+Collector::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
+{
+    const std::size_t n_ticks = chip_.config().ticks_per_interval;
+    runTicks(n_ticks, rec);
+
+    double sensor_sum = 0.0;
+    double diode_sum = 0.0;
+    for (std::size_t t = 0; t < n_ticks; ++t) {
+        sensor_sum += sensor_[t];
+        diode_sum += diode_[t];
+    }
+    const double inv = 1.0 / static_cast<double>(n_ticks);
+    rec.sensor_power_w = sensor_sum * inv;
+    rec.diode_temp_k = diode_sum * inv;
+
+    const std::size_t n_cores = chip_.config().coreCount();
     // rt-escape: warm-up growth of the record's PMC vector.
     PPEP_RT_WARMUP_BEGIN
     rec.pmc.resize(n_cores);
     PPEP_RT_WARMUP_END
-    for (std::size_t c = 0; c < n_cores; ++c) {
+    for (std::size_t c = 0; c < n_cores; ++c)
         rec.pmc[c] = chip_.readPmc(c);
-        if (retired_[c] > 0.0)
-            ++rec.busy_cores;
-    }
 }
 
 std::vector<IntervalRecord>

@@ -20,34 +20,33 @@
 namespace ppep::trace {
 
 /**
- * Anything that can advance the chip by one decision interval and hand
- * back its record: the perfect-acquisition Collector below, or the
- * hardened runtime::Sampler (retry, sanity guards, last-good
- * substitution) when the hardware is allowed to misbehave.
+ * Anything that hands back one decision interval's record: the
+ * perfect-acquisition Collector below, the hardened runtime::Sampler
+ * (retry, sanity guards, last-good substitution) when the hardware is
+ * allowed to misbehave, or a ReplaySource decoding recorded frames.
  */
 class IntervalSource
 {
   public:
     virtual ~IntervalSource() = default;
 
-    /** Run one full interval and record it. */
-    virtual IntervalRecord collectInterval() = 0;
+    /**
+     * Run one full interval into a caller-owned record, reusing its
+     * vectors — the allocation-free steady-state path. Every field is
+     * overwritten.
+     */
+    virtual void collectIntervalInto(IntervalRecord &rec)
+        PPEP_NONBLOCKING = 0;
+
+    /** collectIntervalInto() into a fresh record. */
+    virtual IntervalRecord collectInterval();
 
     /**
-     * collectInterval() into a caller-owned record, reusing its vectors —
-     * the allocation-free steady-state path. Every field is overwritten.
-     * The default forwards to collectInterval(); sources with a hot path
-     * override it.
+     * What acquisition did to the most recent interval; null when the
+     * source keeps no health record (the Collector, a replay stream
+     * recorded without one).
      */
-    virtual void collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
-    {
-        // rt-escape: legacy fallback — collectInterval() builds a fresh
-        // record by contract. Sources used in the fleet steady state
-        // (Collector, Sampler) override this with allocation-free paths.
-        PPEP_RT_WARMUP_BEGIN
-        rec = collectInterval();
-        PPEP_RT_WARMUP_END
-    }
+    virtual const SampleHealth *health() const { return nullptr; }
 };
 
 /** Tick-accurate interval collector bound to one chip. */
@@ -56,11 +55,27 @@ class Collector : public IntervalSource
   public:
     explicit Collector(sim::Chip &chip);
 
-    /** Run one full interval (ticks_per_interval ticks) and record it. */
-    IntervalRecord collectInterval() override;
-
-    /** Allocation-free collectInterval() (bit-identical outputs). */
+    /** Run one nominal interval (ticks_per_interval ticks): runTicks(),
+     *  plain sensor/diode means, one PMC read per core. */
     void collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING override;
+
+    /**
+     * The tick loop of every simulated interval: step the chip
+     * @p n_ticks times and fill every field of @p rec except the
+     * sensor/diode means and pmc. Each tick's raw sensor and diode
+     * sample stays in sensorSamples()/diodeSamples() until the next
+     * call, for the caller to average.
+     */
+    void runTicks(std::size_t n_ticks, IntervalRecord &rec)
+        PPEP_NONBLOCKING;
+
+    /** Raw per-tick samples of the last runTicks() call. */
+    const std::vector<double> &sensorSamples() const { return sensor_; }
+    const std::vector<double> &diodeSamples() const { return diode_; }
+
+    /** Size the sample scratch for intervals up to @p n_ticks long, so
+     *  a longer interval does not grow it once warm. */
+    void reserveTicks(std::size_t n_ticks);
 
     /** Collect @p n intervals back to back. */
     std::vector<IntervalRecord> collect(std::size_t n);
@@ -77,9 +92,11 @@ class Collector : public IntervalSource
 
   private:
     sim::Chip &chip_;
-    /** Per-interval scratch reused by collectIntervalInto(). */
+    /** Per-interval scratch reused by runTicks(). */
     sim::TickResult tick_;
     std::vector<double> retired_;
+    std::vector<double> sensor_;
+    std::vector<double> diode_;
 };
 
 } // namespace ppep::trace

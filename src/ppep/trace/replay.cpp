@@ -11,6 +11,7 @@
 
 #include "ppep/trace/replay.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -30,7 +31,7 @@ constexpr char kMagic[8] = {'P', 'P', 'E', 'P', 'T', 'R', 'C', '1'};
 constexpr std::uint32_t kByteOrderMark = 0x01020304u;
 constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kStreamEntryBytes = 96;
-constexpr std::size_t kNameBytes = 40;
+constexpr std::size_t kNameBytes = kMaxStreamNameBytes + 1;
 constexpr std::uint32_t kFlagHasHealth = 1u;
 
 /** FNV-1a over a byte range (same constants as runtime::fnv1a). */
@@ -124,7 +125,7 @@ ReplayStreamBuilder::strideFor(std::size_t n_cores, std::size_t n_cus,
     // 13 f64 context/record scalars + busy_cores.
     std::size_t fields = 14 + n_cus + 2 * n_cores * sim::kNumEvents;
     if (with_health)
-        fields += 11;
+        fields += std::tuple_size_v<SampleHealth::Words>;
     return 8 * fields;
 }
 
@@ -144,7 +145,7 @@ ReplayStreamBuilder::ReplayStreamBuilder(std::string name,
 void
 ReplayStreamBuilder::addFrame(double time_s, double cap_w,
                               const IntervalRecord &rec,
-                              const ReplayHealth *health)
+                              const SampleHealth *health)
 {
     PPEP_ASSERT(rec.cu_vf.size() == n_cus_,
                 "record CU count does not match the stream shape");
@@ -179,19 +180,9 @@ ReplayStreamBuilder::addFrame(double time_s, double cap_w,
     for (const auto &core : rec.oracle)
         for (double e : core)
             appendF64(bytes_, e);
-    if (with_health_) {
-        appendU64(bytes_, health->msr_retries);
-        appendU64(bytes_, health->msr_failed_cores);
-        appendU64(bytes_, health->pmc_rejected_cores);
-        appendU64(bytes_, health->substituted_cores);
-        appendU64(bytes_, health->zeroed_cores);
-        appendU64(bytes_, health->sensor_rejects);
-        appendU64(bytes_, health->diode_rejects);
-        appendU64(bytes_, health->ticks);
-        appendU64(bytes_, health->timing_overrun ? 1ULL : 0ULL);
-        appendU64(bytes_, health->pmc_wrap_events);
-        appendU64(bytes_, health->total_fault_events);
-    }
+    if (with_health_)
+        for (std::uint64_t w : health->words())
+            appendU64(bytes_, w);
     ++frame_count_;
 }
 
@@ -210,8 +201,7 @@ writeReplayFile(const std::string &path,
         PPEP_ASSERT(s != nullptr, "null stream handed to the writer");
         char name[kNameBytes] = {};
         const std::size_t n =
-            s->name().size() < kNameBytes - 1 ? s->name().size()
-                                              : kNameBytes - 1;
+            std::min(s->name().size(), kMaxStreamNameBytes);
         std::memcpy(name, s->name().data(), n);
         appendBytes(toc, name, kNameBytes);
         appendU64(toc, s->fingerprint());
@@ -377,14 +367,6 @@ ReplaySource::ReplaySource(const ReplayFile &file,
                    ", this platform is ", expected_fingerprint, ")");
 }
 
-IntervalRecord
-ReplaySource::collectInterval()
-{
-    IntervalRecord rec;
-    collectIntervalInto(rec);
-    return rec;
-}
-
 void
 ReplaySource::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
 {
@@ -447,28 +429,12 @@ ReplaySource::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
             p += 8;
         }
     if (stream_.with_health) {
-        health_.msr_retries = loadU64(p);
-        p += 8;
-        health_.msr_failed_cores = loadU64(p);
-        p += 8;
-        health_.pmc_rejected_cores = loadU64(p);
-        p += 8;
-        health_.substituted_cores = loadU64(p);
-        p += 8;
-        health_.zeroed_cores = loadU64(p);
-        p += 8;
-        health_.sensor_rejects = loadU64(p);
-        p += 8;
-        health_.diode_rejects = loadU64(p);
-        p += 8;
-        health_.ticks = loadU64(p);
-        p += 8;
-        health_.timing_overrun = loadU64(p) != 0;
-        p += 8;
-        health_.pmc_wrap_events = loadU64(p);
-        p += 8;
-        health_.total_fault_events = loadU64(p);
-        p += 8;
+        SampleHealth::Words w;
+        for (std::uint64_t &v : w) {
+            v = loadU64(p);
+            p += 8;
+        }
+        health_ = SampleHealth::fromWords(w);
     }
     ++next_;
 }

@@ -48,11 +48,11 @@
  *     f64 oracle[n_cores][kNumEvents]
  *     u64 health[11]                          (iff flags bit 0)
  *
- * The health block mirrors the digest-relevant counters of the
- * runtime Sampler's SampleHealth; the trace layer cannot depend on
- * runtime, so ReplayHealth is an independent POD with the same
- * meaning. Injector-side fault tallies are deliberately not stored:
- * they describe the simulated hardware, not the observed stream.
+ * The health block is SampleHealth::words() — the digest-relevant
+ * counters of a hardened session's acquisition, in the one order
+ * DigestSink hashes them. Injector-side fault tallies are deliberately
+ * not stored: they describe the simulated hardware, not the observed
+ * stream.
  */
 
 #ifndef PPEP_TRACE_REPLAY_HPP
@@ -73,35 +73,9 @@ namespace ppep::trace {
 /** On-disk format version written and accepted by this build. */
 inline constexpr std::uint32_t kReplayVersion = 1;
 
-/**
- * Digest-relevant acquisition-health counters for one interval, as
- * recorded in a replay frame. Field meanings match the runtime
- * Sampler's SampleHealth exactly (see sampler.hpp); the runtime layer
- * reconstructs a SampleHealth from this when replaying a hardened
- * session's stream.
- */
-struct ReplayHealth
-{
-    std::uint64_t msr_retries = 0;
-    std::uint64_t msr_failed_cores = 0;
-    std::uint64_t pmc_rejected_cores = 0;
-    std::uint64_t substituted_cores = 0;
-    std::uint64_t zeroed_cores = 0;
-    std::uint64_t sensor_rejects = 0;
-    std::uint64_t diode_rejects = 0;
-    std::uint64_t ticks = 0;
-    bool timing_overrun = false;
-    std::uint64_t pmc_wrap_events = 0;
-    std::uint64_t total_fault_events = 0;
-
-    /** Fault-relevant events this interval (health-policy input). */
-    std::uint64_t faultEvents() const
-    {
-        return msr_retries + msr_failed_cores + pmc_rejected_cores +
-               substituted_cores + zeroed_cores + sensor_rejects +
-               diode_rejects + (timing_overrun ? 1ULL : 0ULL);
-    }
-};
+/** Longest stream name the stream table stores; the writer truncates
+ *  longer names. */
+inline constexpr std::size_t kMaxStreamNameBytes = 39;
 
 /**
  * Accumulates one session's interval stream as encoded frame bytes.
@@ -117,7 +91,7 @@ class ReplayStreamBuilder
   public:
     /**
      * @param name        session name stored in the stream table
-     *                    (truncated to 39 bytes).
+     *                    (truncated to kMaxStreamNameBytes).
      * @param fingerprint runtime::platformFingerprint of the chip
      *                    config the stream was recorded on.
      * @param with_health true when frames carry a health block
@@ -132,7 +106,7 @@ class ReplayStreamBuilder
      * the builder was constructed with_health.
      */
     void addFrame(double time_s, double cap_w, const IntervalRecord &rec,
-                  const ReplayHealth *health);
+                  const SampleHealth *health);
 
     const std::string &name() const { return name_; }
     std::uint64_t fingerprint() const { return fingerprint_; }
@@ -237,25 +211,27 @@ class ReplaySource final : public IntervalSource
     /** Rewind to the first frame (replay the stream again). */
     void rewind() { next_ = 0; }
 
-    /** Allocating convenience wrapper around collectIntervalInto. */
-    IntervalRecord collectInterval() override;
-
     /** Decode the next frame into @p rec; fatal past the end. */
     void collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
         override;
 
+    /** The decoded frame's health; null when the stream has no
+     *  health block. */
+    const SampleHealth *health() const override
+    {
+        return stream_.with_health ? &health_ : nullptr;
+    }
+
     // Context of the most recently decoded frame.
     double frameTimeS() const { return time_s_; }
     double frameCapW() const { return cap_w_; }
-    bool hasHealth() const { return stream_.with_health; }
-    const ReplayHealth &frameHealth() const { return health_; }
 
   private:
     const ReplayFile::Stream &stream_;
     std::size_t next_ = 0;
     double time_s_ = 0.0;
     double cap_w_ = 0.0;
-    ReplayHealth health_{};
+    SampleHealth health_{};
 };
 
 } // namespace ppep::trace

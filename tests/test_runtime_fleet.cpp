@@ -339,4 +339,39 @@ TEST(Fleet, HeterogeneousCsvHeadersMatchEachConfig)
     EXPECT_EQ(phenom.find("tenant_"), std::string::npos);
 }
 
+// A session name keys its `<name>.csv` and its replay stream; names
+// that collide there are rejected before anything runs.
+
+TEST(FleetDeathTest, DuplicateSessionNamesAreFatal)
+{
+    auto spec = baseSpec(3);
+    spec.sessions[0].name = "twin";
+    spec.sessions[2].name = "twin";
+    EXPECT_DEATH(Fleet{spec}, "session name 'twin' is not unique");
+
+    // An explicit name may also collide with a defaulted "s<index>".
+    auto defaulted = baseSpec(2);
+    defaulted.sessions[0].name = "s1";
+    EXPECT_DEATH(Fleet{defaulted}, "session name 's1' is not unique");
+}
+
+TEST(FleetDeathTest, OverlongNamesAreFatalWhenRecordingOrReplaying)
+{
+    const std::string longest(trace::kMaxStreamNameBytes, 'x');
+    auto spec = baseSpec(2);
+    spec.sessions[0].name = longest + "y";
+    // Without a trace the name only labels results and a CSV file.
+    Fleet untraced(spec);
+
+    spec.record_path = ::testing::TempDir() + "ppep_fleet_names.trc";
+    EXPECT_DEATH(Fleet{spec}, "is longer than the 39 bytes");
+    spec.record_path.clear();
+    spec.replay_path = ::testing::TempDir() + "ppep_fleet_names.trc";
+    EXPECT_DEATH(Fleet{spec}, "is longer than the 39 bytes");
+
+    // A name that fits the stream table is fine.
+    spec.sessions[0].name = longest;
+    Fleet traced(spec);
+}
+
 } // namespace

@@ -16,6 +16,7 @@
 namespace {
 
 using namespace ppep::runtime;
+using ppep::trace::SampleHealth;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 

@@ -201,7 +201,7 @@ TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
     const double times[] = {0.2, 0.4, 0.8};
     const double caps[] = {60.0, 55.0, 50.0};
     std::vector<trace::IntervalRecord> recs;
-    std::vector<trace::ReplayHealth> healths(3);
+    std::vector<trace::SampleHealth> healths(3);
     healths[1].msr_retries = 3;
     healths[1].sensor_rejects = 1;
     healths[1].timing_overrun = true;
@@ -236,7 +236,7 @@ TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
 
     trace::ReplaySource src(file, 0, 0xfeedfaceULL);
     EXPECT_EQ(src.frameCount(), 3u);
-    EXPECT_TRUE(src.hasHealth());
+    ASSERT_NE(src.health(), nullptr);
     trace::IntervalRecord out;
     for (std::size_t i = 0; i < 3; ++i) {
         SCOPED_TRACE("frame " + std::to_string(i));
@@ -245,7 +245,7 @@ TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
         EXPECT_EQ(src.frameTimeS(), times[i]);
         EXPECT_EQ(src.frameCapW(), caps[i]);
         expectRecordEqual(out, recs[i]);
-        const trace::ReplayHealth &h = src.frameHealth();
+        const trace::SampleHealth &h = *src.health();
         EXPECT_EQ(h.msr_retries, healths[i].msr_retries);
         EXPECT_EQ(h.msr_failed_cores, healths[i].msr_failed_cores);
         EXPECT_EQ(h.pmc_rejected_cores, healths[i].pmc_rejected_cores);
@@ -357,6 +357,8 @@ TEST(ReplayDeathTest, ReadingPastTheLastFrameIsFatal)
     trace::ReplaySource src(file, 0, 1);
     trace::IntervalRecord rec;
     src.collectIntervalInto(rec);
+    EXPECT_EQ(src.health(), nullptr)
+        << "a stream recorded without health reports none";
     src.collectIntervalInto(rec);
     ASSERT_TRUE(src.done());
     EXPECT_DEATH(src.collectIntervalInto(rec), "exhausted");

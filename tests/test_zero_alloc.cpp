@@ -353,6 +353,44 @@ TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
     }
 }
 
+TEST(ZeroAlloc, HardenedJitteredSessionIntervalIsAllocationFree)
+{
+    // Jittered intervals run more ticks than nominal through the shared
+    // tick loop's sample scratch; together with failed read-outs and
+    // dropped sensor samples on the hardened read-out, a warm interval
+    // must still stay off the heap whatever tick count it draws.
+    runtime::DigestSink digest;
+    auto session =
+        runtime::Session::builder(sim::fx8320Config())
+            .seed(5)
+            .trainingSeed(91)
+            .trainingCombos(smallTrainingSet())
+            .onePerCu({"EP", "CG", "458.sjeng", "EP"})
+            .faults(sim::FaultPlan::parse(
+                "jitter=0.5,jitter_max=2,msr=0.05,sensor_drop=0.1"))
+            .sink(digest)
+            .build();
+    const std::size_t nominal = session.config().ticks_per_interval;
+
+    // One interval sizes every fixed-shape buffer. The tick scratch
+    // must already hold the longest jittered interval, so only one warm
+    // interval is allowed before counting starts.
+    session.drive(1);
+
+    std::size_t longer = 0;
+    for (int i = 0; i < 40; ++i) {
+        g_news.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        session.drive(1);
+        g_counting.store(false, std::memory_order_relaxed);
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+            << "a warm jittered hardened interval allocated";
+        if (session.sampler()->lastHealth().ticks > nominal)
+            ++longer;
+    }
+    EXPECT_GT(longer, 0u) << "no counted interval ran long";
+}
+
 TEST(ZeroAlloc, ArbiterGatherDecideIsAllocationFreeOnceConfigured)
 {
     // The fleet arbiter's whole hot path — depositing every session's

@@ -34,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -580,11 +581,15 @@ cmdFleet(const Options &opt)
         // first mix entry becomes the fleet default.
         const auto entries = parseMix(opt.mix);
         spec.cfg = entries.front().cfg;
+        // Number sessions per alias, so an alias listed twice still
+        // yields unique session names.
+        std::map<std::string, std::size_t> per_alias;
         std::size_t i = 0;
         for (const auto &entry : entries) {
             for (std::size_t k = 0; k < entry.count; ++k, ++i) {
                 runtime::FleetSessionSpec ss;
-                ss.name = entry.alias + "-" + std::to_string(k);
+                ss.name = entry.alias + "-" +
+                          std::to_string(per_alias[entry.alias]++);
                 ss.seed = opt.seed + 100 + i;
                 ss.pg = entry.cfg.pg_supported && (i % 2) == 0;
                 ss.one_per_cu = mixes[i % mixes.size()];
