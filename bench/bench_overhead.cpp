@@ -339,6 +339,7 @@ BM_NbResolve(benchmark::State &state)
     const auto demands =
         nbDemands(cfg, static_cast<std::size_t>(state.range(0)));
     sim::NbResolution res;
+    res.mem_lat_ns.resize(demands.size());
     for (auto _ : state) {
         nb.resolveInto(demands, res);
         benchmark::DoNotOptimize(res.utilization);

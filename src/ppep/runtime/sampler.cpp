@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "ppep/util/logging.hpp"
 
@@ -18,7 +19,7 @@ namespace {
  * is the Collector's sum * (1/n) bit for bit.
  */
 double
-guardedMean(const std::vector<double> &samples, double lo, double hi,
+guardedMean(std::span<const double> samples, double lo, double hi,
             std::size_t &rejects, double &last_good) PPEP_NONBLOCKING
 {
     double sum = 0.0;
@@ -51,10 +52,6 @@ Sampler::Sampler(sim::Chip &chip, SamplerPolicy policy)
                     policy_.min_power_w < policy_.max_power_w &&
                     policy_.min_cpi < policy_.max_cpi,
                 "sampler plausibility windows must be non-empty");
-    // A jittered interval runs up to tick_jitter_max extra ticks.
-    if (const sim::FaultInjector *inj = chip.faultInjector())
-        collector_.reserveTicks(chip.config().ticks_per_interval +
-                                inj->plan().tick_jitter_max);
 }
 
 bool

@@ -7,6 +7,16 @@
 
 namespace ppep::sim {
 
+Chip::StepScratch::StepScratch(const ChipConfig &cfg)
+    : cu_volt(cfg.n_cus),
+      cu_freq(cfg.n_cus),
+      demands(cfg.coreCount()),
+      demand_core(cfg.coreCount()),
+      pins(cfg.coreCount())
+{
+    nb_res.mem_lat_ns.resize(cfg.coreCount());
+}
+
 Chip::Chip(ChipConfig cfg, std::uint64_t seed)
     : cfg_(std::move(cfg)),
       nb_(cfg_),
@@ -15,14 +25,20 @@ Chip::Chip(ChipConfig cfg, std::uint64_t seed)
       sensor_(cfg_.sensor, util::Rng(seed).fork(0xBEEF)),
       jobs_(cfg_.coreCount()),
       cu_vf_(cfg_.n_cus, cfg_.vf_table.top()),
-      pg_enabled_(false)
+      pg_enabled_(false),
+      scratch_(cfg_)
 {
     cfg_.validate();
+    const std::size_t n_cores = cfg_.coreCount();
     util::Rng root(seed);
-    for (std::size_t c = 0; c < cfg_.coreCount(); ++c) {
+    for (std::size_t c = 0; c < n_cores; ++c) {
         pmc_.emplace_back(cfg_.pmc_counters, c);
         core_rngs_.push_back(root.fork(100 + c));
     }
+    res_.truth.activity.resize(n_cores);
+    res_.truth.cu_gated.resize(cfg_.n_cus);
+    res_.truth.power.cu_idle.resize(cfg_.n_cus);
+    res_.truth.power.core_dynamic.resize(n_cores);
 }
 
 void
@@ -212,36 +228,21 @@ Chip::effectiveCuVoltage(std::size_t cu) const PPEP_NONBLOCKING
 }
 
 double
-Chip::activityFactor(std::size_t core) const PPEP_NONBLOCKING
+Chip::activityFactor(const Job &job) const PPEP_NONBLOCKING
 {
-    const Job *j = jobs_[core].get();
-    if (!j || j->finished())
-        return 1.0;
     // Deterministic per (benchmark, phase index): the same code region
     // has the same unmodeled behaviour at every VF state and in every
-    // run — exactly like real software. The job caches its name hash at
-    // construction so this stays off the per-tick critical path.
-    const std::uint64_t h =
-        j->nameHash() ^
-        (j->currentPhaseIndex() * 0x9e3779b97f4a7c15ULL);
-    util::Rng r(h);
-    return std::max(0.5,
-                    1.0 + r.gaussian(0.0, cfg_.power.phase_activity_sd));
+    // run — exactly like real software.
+    return std::max(0.5, 1.0 + cfg_.power.phase_activity_sd *
+                                   job.phaseActivityDraw());
 }
 
-TickResult
-Chip::step()
-{
-    TickResult res;
-    stepInto(res);
-    return res;
-}
-
-void
-Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
+const TickResult &
+Chip::tick() PPEP_NONBLOCKING
 {
     const double dt = cfg_.tick_s;
     const std::size_t n_cores = cfg_.coreCount();
+    TickResult &res = res_;
 
     // 0. Delayed P-state writes land once their latency expires.
     if (!pending_vf_.empty()) {
@@ -262,12 +263,7 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
     }
 
     // 1. Gate states for this tick.
-    std::vector<bool> &cu_gated = scratch_.cu_gated;
-    // rt-escape: warm-up growth of per-tick scratch; assign() at steady
-    // sizes reuses capacity (test_zero_alloc).
-    PPEP_RT_WARMUP_BEGIN
-    cu_gated.assign(cfg_.n_cus, false);
-    PPEP_RT_WARMUP_END
+    std::vector<bool> &cu_gated = res.truth.cu_gated;
     bool all_gated = true;
     std::size_t busy_cus = 0;
     for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu) {
@@ -283,11 +279,6 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
     //    CUs wins (as in effectiveCuVoltage()).
     std::vector<double> &cu_volt = scratch_.cu_volt;
     std::vector<double> &cu_freq = scratch_.cu_freq;
-    // rt-escape: warm-up growth of per-tick scratch.
-    PPEP_RT_WARMUP_BEGIN
-    cu_volt.assign(cfg_.n_cus, 0.0);
-    cu_freq.assign(cfg_.n_cus, 0.0);
-    PPEP_RT_WARMUP_END
     const bool boost_allowed = boostAllowed(busy_cus);
     double rail_v = 0.0;
     bool rail_used = false;
@@ -306,49 +297,38 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
 
     // 3. Effective rates for busy cores, then the NB contention fixed
     //    point across all of them.
-    std::vector<PerInstRates> &rates = scratch_.rates;
-    // rt-escape: warm-up growth of per-tick scratch.
-    PPEP_RT_WARMUP_BEGIN
-    rates.assign(n_cores, PerInstRates{});
-    PPEP_RT_WARMUP_END
     std::vector<CoreDemand> &demands = scratch_.demands;
     std::vector<std::size_t> &demand_core = scratch_.demand_core;
-    demands.clear();
-    demand_core.clear();
+    std::size_t n_busy = 0;
     for (std::size_t c = 0; c < n_cores; ++c) {
-        Job *j = jobs_[c].get();
+        const Job *j = jobs_[c].get();
         if (!j || j->finished())
             continue;
         const std::size_t cu = c / cfg_.cores_per_cu;
-        rates[c] = CoreModel::effectiveRates(cfg_, j->currentPhase(),
-                                             cu_freq[cu], core_rngs_[c]);
-        // rt-escape: push into cleared-but-warm scratch; capacity is
-        // reused after the first tick at a given core count.
-        PPEP_RT_WARMUP_BEGIN
-        demands.push_back({rates[c], cu_freq[cu]});
-        demand_core.push_back(c);
-        PPEP_RT_WARMUP_END
+        demands[n_busy].rates = CoreModel::effectiveRates(
+            cfg_, j->currentPhase(), cu_freq[cu], core_rngs_[c]);
+        demands[n_busy].f_ghz = cu_freq[cu];
+        demand_core[n_busy++] = c;
     }
     const NbResolution &nb_res = scratch_.nb_res;
-    nb_.resolveInto(demands, scratch_.nb_res);
+    nb_.resolveInto({demands.data(), n_busy}, scratch_.nb_res);
 
-    // 4. Execute each busy core and advance its job.
-    res.sensor_power_w = 0.0;
-    res.diode_temp_k = 0.0;
-    std::vector<double> &act_factor = scratch_.act_factor;
-    // rt-escape: warm-up growth of the caller-owned result and scratch.
-    PPEP_RT_WARMUP_BEGIN
-    res.truth.activity.assign(n_cores, CoreActivity{});
-    res.truth.core_events.assign(n_cores, EventVector{});
-    act_factor.assign(n_cores, 1.0);
-    PPEP_RT_WARMUP_END
-    for (std::size_t d = 0; d < demands.size(); ++d) {
+    // 4. Execute each busy core and advance its job; an idle core's
+    //    activity reads zero and its power input the nominal factor.
+    std::vector<CorePowerInput> &pins = scratch_.pins;
+    std::fill(res.truth.activity.begin(), res.truth.activity.end(),
+              CoreActivity{});
+    for (std::size_t c = 0; c < n_cores; ++c) {
+        const std::size_t cu = c / cfg_.cores_per_cu;
+        pins[c] = {&res.truth.activity[c], cu_volt[cu], cu_freq[cu], 1.0};
+    }
+    for (std::size_t d = 0; d < n_busy; ++d) {
         const std::size_t c = demand_core[d];
         Job *j = jobs_[c].get();
-        act_factor[c] = activityFactor(c);
+        pins[c].activity_factor = activityFactor(*j);
         const std::size_t cu = c / cfg_.cores_per_cu;
         CoreActivity act = CoreModel::execute(
-            cfg_, rates[c], cu_freq[cu], nb_res.mem_lat_ns[d], dt,
+            cfg_, demands[d].rates, cu_freq[cu], nb_res.mem_lat_ns[d], dt,
             std::numeric_limits<double>::infinity());
         const double consumed = j->advance(act.instructions);
         if (consumed < act.instructions) {
@@ -363,22 +343,9 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
             act.dram_accesses *= frac;
         }
         res.truth.activity[c] = act;
-        res.truth.core_events[c] = act.events;
     }
 
     // 5. Ground-truth power.
-    std::vector<CorePowerInput> &pins = scratch_.pins;
-    // rt-escape: warm-up growth of per-tick scratch.
-    PPEP_RT_WARMUP_BEGIN
-    pins.assign(n_cores, CorePowerInput{});
-    PPEP_RT_WARMUP_END
-    for (std::size_t c = 0; c < n_cores; ++c) {
-        const std::size_t cu = c / cfg_.cores_per_cu;
-        pins[c].activity = &res.truth.activity[c];
-        pins[c].voltage = cu_volt[cu];
-        pins[c].freq_ghz = cu_freq[cu];
-        pins[c].activity_factor = act_factor[c];
-    }
     hw_power_.computeInto(pins, cu_gated, nb_gated, cu_volt, cu_freq,
                           nb_.vf(), thermal_.temperature(), dt,
                           res.truth.power);
@@ -399,10 +366,6 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
         for (double &w : pw.core_dynamic)
             w *= g;
     }
-    // rt-escape: warm-up growth of the caller-owned result.
-    PPEP_RT_WARMUP_BEGIN
-    res.truth.cu_gated.assign(cu_gated.begin(), cu_gated.end());
-    PPEP_RT_WARMUP_END
     res.truth.nb_gated = nb_gated;
     res.truth.nb_utilization = nb_res.utilization;
 
@@ -424,7 +387,7 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
     //    bleed into the next harvest unrotated).
     for (std::size_t c = 0; c < n_cores; ++c) {
         PmcMultiplexer &pmc = pmc_[c];
-        pmc.observe(res.truth.core_events[c]);
+        pmc.observe(res.truth.activity[c].events);
         if (injector_) {
             if (const auto slot = injector_->saturatedSlot(pmc.slotCount()))
                 pmc.saturate(*slot);
@@ -435,13 +398,14 @@ Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
     }
 
     time_s_ += dt;
+    return res;
 }
 
 void
 Chip::run(std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        step();
+        tick();
 }
 
 } // namespace ppep::sim

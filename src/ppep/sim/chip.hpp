@@ -37,9 +37,7 @@ struct TickTruth
 {
     /** True power decomposition. */
     PowerBreakdown power;
-    /** Per-core true event counts (no multiplexing). */
-    std::vector<EventVector> core_events;
-    /** Per-core activity summary. */
+    /** Per-core activity, with its true event counts (no multiplexing). */
     std::vector<CoreActivity> activity;
     /** Per-CU gate state this tick. */
     std::vector<bool> cu_gated;
@@ -166,15 +164,16 @@ class Chip
 
     // --- simulation -----------------------------------------------------
 
-    /** Advance one 20 ms tick. */
-    TickResult step();
-
     /**
-     * step() into a caller-owned result, reusing its vectors (and the
-     * chip's internal scratch) — the allocation-free per-tick path.
-     * Outputs are bit-identical to step().
+     * Advance one 20 ms tick and return its result. The chip owns the
+     * result and its scratch, both sized from the config at
+     * construction, so a tick never allocates; the reference stays
+     * valid, and is overwritten by the next tick.
      */
-    void stepInto(TickResult &res) PPEP_NONBLOCKING;
+    const TickResult &tick() PPEP_NONBLOCKING;
+
+    /** tick() into a copy the caller keeps (tests, scenario setup). */
+    TickResult step() { return tick(); }
 
     /** Advance @p n ticks, discarding results (warm-up helper). */
     void run(std::size_t n);
@@ -202,8 +201,8 @@ class Chip
     std::size_t grant(std::size_t requested,
                       bool boost_allowed) const PPEP_NONBLOCKING;
 
-    /** Hidden per-phase activity factor for a core's current phase. */
-    double activityFactor(std::size_t core) const PPEP_NONBLOCKING;
+    /** Hidden activity factor of @p job's current phase. */
+    double activityFactor(const Job &job) const PPEP_NONBLOCKING;
 
     ChipConfig cfg_;
     NorthBridge nb_;
@@ -229,23 +228,26 @@ class Chip
     std::vector<PendingVfWrite> pending_vf_;
 
     /**
-     * Per-tick scratch reused by stepInto() so steady-state stepping
-     * performs no heap allocation. Sized on first use; never observable
-     * from outside a tick.
+     * Per-tick scratch of tick(), sized from the config at
+     * construction; never observable from outside a tick. The per-CU
+     * and per-core buffers are overwritten every tick; of demands,
+     * demand_core and nb_res.mem_lat_ns only the first entries, one
+     * per busy core in core order, are live.
      */
     struct StepScratch
     {
-        std::vector<bool> cu_gated;
+        explicit StepScratch(const ChipConfig &cfg);
+
         std::vector<double> cu_volt;
         std::vector<double> cu_freq;
-        std::vector<PerInstRates> rates;
         std::vector<CoreDemand> demands;
         std::vector<std::size_t> demand_core;
-        std::vector<double> act_factor;
         std::vector<CorePowerInput> pins;
         NbResolution nb_res;
     };
     StepScratch scratch_;
+    /** The result tick() fills and hands back. */
+    TickResult res_;
 };
 
 } // namespace ppep::sim

@@ -74,6 +74,8 @@ HwPowerModel::compute(const std::vector<CorePowerInput> &cores,
                       double dt_s) const
 {
     PowerBreakdown out;
+    out.cu_idle.resize(cfg_.n_cus);
+    out.core_dynamic.resize(cores.size());
     computeInto(cores, cu_gated, nb_gated, cu_voltage, cu_freq_ghz,
                 nb_vf, temp_k, dt_s, out);
     return out;
@@ -94,16 +96,15 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
                 cu_voltage.size() == cfg_.n_cus &&
                 cu_freq_ghz.size() == cfg_.n_cus,
                 "CU vector size mismatch");
+    PPEP_ASSERT(out.cu_idle.size() == cfg_.n_cus &&
+                out.core_dynamic.size() == cores.size(),
+                "breakdown not sized for this chip");
     PPEP_ASSERT(dt_s > 0.0, "non-positive tick");
 
     const auto &p = cfg_.power;
     out.base = p.base_power_w;
 
     // Per-CU idle (leakage + clock tree), with the gate applied.
-    // rt-escape: warm-up growth of the caller-owned breakdown.
-    PPEP_RT_WARMUP_BEGIN
-    out.cu_idle.assign(cfg_.n_cus, 0.0);
-    PPEP_RT_WARMUP_END
     bool any_cu_alive = false;
     for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu) {
         const double full =
@@ -119,11 +120,9 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
     const double nb_full = nbStaticPower(nb_vf, temp_k);
     out.nb_static = nb_gated ? nb_full * p.pg_residual : nb_full;
 
-    // Per-core switched energy + NB access energy.
-    // rt-escape: warm-up growth of the caller-owned breakdown.
-    PPEP_RT_WARMUP_BEGIN
-    out.core_dynamic.assign(cores.size(), 0.0);
-    PPEP_RT_WARMUP_END
+    // Per-core switched energy + NB access energy; an idle core draws
+    // none.
+    std::fill(out.core_dynamic.begin(), out.core_dynamic.end(), 0.0);
     double l3_rate = 0.0;
     double dram_rate = 0.0;
     for (std::size_t c = 0; c < cores.size(); ++c) {

@@ -88,8 +88,9 @@ class HwPowerModel
                            double dt_s) const;
 
     /**
-     * compute() into a caller-owned breakdown, reusing its per-CU and
-     * per-core vectors — the allocation-free per-tick path.
+     * compute() into a caller-owned breakdown whose cu_idle and
+     * core_dynamic vectors are already sized one per CU and one per
+     * core — the allocation-free per-tick path.
      */
     void computeInto(const std::vector<CorePowerInput> &cores,
                      const std::vector<bool> &cu_gated, bool nb_gated,

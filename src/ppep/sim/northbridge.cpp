@@ -41,6 +41,7 @@ NbResolution
 NorthBridge::resolve(const std::vector<CoreDemand> &demands) const
 {
     NbResolution res;
+    res.mem_lat_ns.resize(demands.size());
     resolveInto(demands, res);
     return res;
 }
@@ -62,7 +63,7 @@ constexpr int kMaxEvaluations = 64;
  */
 double
 demandAt(const NbConfig &nb, double l3_ns, double dram_ns,
-         const std::vector<CoreDemand> &demands, double u,
+         std::span<const CoreDemand> demands, double u,
          std::vector<double> &mem_lat_ns, double &slope) PPEP_NONBLOCKING
 {
     const double q = 1.0 / (1.0 - u);
@@ -95,13 +96,11 @@ demandAt(const NbConfig &nb, double l3_ns, double dram_ns,
 } // namespace
 
 void
-NorthBridge::resolveInto(const std::vector<CoreDemand> &demands,
+NorthBridge::resolveInto(std::span<const CoreDemand> demands,
                          NbResolution &res) const PPEP_NONBLOCKING
 {
-    // rt-escape: warm-up growth of the caller-owned resolution buffer.
-    PPEP_RT_WARMUP_BEGIN
-    res.mem_lat_ns.assign(demands.size(), 0.0);
-    PPEP_RT_WARMUP_END
+    PPEP_ASSERT(res.mem_lat_ns.size() >= demands.size(),
+                "latency buffer smaller than the demand set");
     res.utilization = 0.0;
     res.queue_factor = 1.0;
     res.evaluations = 0;

@@ -25,6 +25,7 @@
 #ifndef PPEP_SIM_NORTHBRIDGE_HPP
 #define PPEP_SIM_NORTHBRIDGE_HPP
 
+#include <span>
 #include <vector>
 
 #include "ppep/sim/chip_config.hpp"
@@ -45,7 +46,9 @@ struct CoreDemand
 /** Resolved contention state for one tick. */
 struct NbResolution
 {
-    /** Per-core average leading-load latency, nanoseconds. */
+    /** Average leading-load latency of each demand, in demand order,
+     *  nanoseconds; entries past the demand count are left as they
+     *  were. */
     std::vector<double> mem_lat_ns;
     /** Total DRAM bandwidth utilisation in [0, max_utilization]. */
     double utilization = 0.0;
@@ -101,10 +104,11 @@ class NorthBridge
     NbResolution resolve(const std::vector<CoreDemand> &demands) const;
 
     /**
-     * resolve() into a caller-owned result, reusing its latency buffer —
-     * the allocation-free per-tick path.
+     * resolve() into a caller-owned result, writing the first
+     * demands.size() entries of its latency buffer, which the caller
+     * sizes at least that long — the allocation-free per-tick path.
      */
-    void resolveInto(const std::vector<CoreDemand> &demands,
+    void resolveInto(std::span<const CoreDemand> demands,
                      NbResolution &res) const PPEP_NONBLOCKING;
 
   private:

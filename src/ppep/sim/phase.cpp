@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "ppep/util/logging.hpp"
+#include "ppep/util/rng.hpp"
 
 namespace ppep::sim {
 
@@ -31,14 +32,15 @@ Phase::validate() const
 }
 
 Job::Job(std::string name, std::vector<Phase> phases, bool looping)
-    : name_(std::move(name)),
-      name_hash_(std::hash<std::string>{}(name_)),
-      phases_(std::move(phases)),
-      looping_(looping)
+    : name_(std::move(name)), phases_(std::move(phases)), looping_(looping)
 {
     PPEP_ASSERT(!phases_.empty(), "job '", name_, "' has no phases");
-    for (const auto &p : phases_)
-        p.validate();
+    const std::uint64_t name_hash = std::hash<std::string>{}(name_);
+    for (std::size_t i = 0; i < phases_.size(); ++i) {
+        phases_[i].validate();
+        activity_draws_.push_back(
+            util::Rng(name_hash ^ (i * 0x9e3779b97f4a7c15ULL)).gaussian());
+    }
 }
 
 const Phase &
@@ -53,6 +55,13 @@ Job::currentPhaseIndex() const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(!finished_, "currentPhaseIndex() on a finished job");
     return phase_index_;
+}
+
+double
+Job::phaseActivityDraw() const PPEP_NONBLOCKING
+{
+    PPEP_ASSERT(!finished_, "phaseActivityDraw() on a finished job");
+    return activity_draws_[phase_index_];
 }
 
 double

@@ -94,12 +94,11 @@ class Job
     const std::string &name() const { return name_; }
 
     /**
-     * std::hash of name(), cached at construction. The chip derives its
-     * hidden per-phase activity factor from this every tick; hashing
-     * the string there would put O(name length) work — and a read of a
-     * heap-allocated buffer — on the per-tick critical path.
+     * Unit gaussian behind the current phase's hidden activity factor,
+     * drawn once per phase at construction from the hash of name() and
+     * the phase index. @pre !finished().
      */
-    std::uint64_t nameHash() const PPEP_NONBLOCKING { return name_hash_; }
+    double phaseActivityDraw() const PPEP_NONBLOCKING;
 
     /** Current phase. @pre !finished(). */
     const Phase &currentPhase() const PPEP_NONBLOCKING;
@@ -134,8 +133,9 @@ class Job
 
   private:
     std::string name_;
-    std::uint64_t name_hash_ = 0;
     std::vector<Phase> phases_;
+    /** phaseActivityDraw() of each phase. */
+    std::vector<double> activity_draws_;
     bool looping_ = false;
     std::size_t phase_index_ = 0;
     double into_phase_ = 0.0; ///< instructions consumed in current phase

@@ -1,5 +1,7 @@
 #include "ppep/trace/collector.hpp"
 
+#include <algorithm>
+
 #include "ppep/util/logging.hpp"
 
 namespace ppep::trace {
@@ -12,16 +14,15 @@ IntervalSource::collectInterval()
     return rec;
 }
 
-Collector::Collector(sim::Chip &chip) : chip_(chip)
+Collector::Collector(sim::Chip &chip)
+    : chip_(chip), retired_(chip.config().coreCount())
 {
-    reserveTicks(chip.config().ticks_per_interval);
-}
-
-void
-Collector::reserveTicks(std::size_t n_ticks)
-{
-    sensor_.reserve(n_ticks);
-    diode_.reserve(n_ticks);
+    // A jittered interval runs up to tick_jitter_max more ticks.
+    const sim::FaultInjector *inj = chip.faultInjector();
+    const std::size_t longest = chip.config().ticks_per_interval +
+                                (inj ? inj->plan().tick_jitter_max : 0);
+    sensor_.resize(longest);
+    diode_.resize(longest);
 }
 
 void
@@ -30,6 +31,9 @@ Collector::runTicks(std::size_t n_ticks, IntervalRecord &rec)
 {
     const auto &cfg = chip_.config();
     const std::size_t n_cores = cfg.coreCount();
+    PPEP_ASSERT(n_ticks <= sensor_.size(), n_ticks,
+                " ticks exceed the Collector's longest interval");
+    n_ticks_ = n_ticks;
 
     rec.duration_s = cfg.tick_s * static_cast<double>(n_ticks);
     rec.true_power_w = 0.0;
@@ -39,38 +43,34 @@ Collector::runTicks(std::size_t n_ticks, IntervalRecord &rec)
     rec.true_temp_k = 0.0;
     rec.nb_utilization = 0.0;
     rec.busy_cores = 0;
-    // rt-escape: warm-up growth of the caller-owned record and member
-    // scratch; no-ops once sized (test_zero_alloc).
+    // rt-escape: warm-up growth of the caller-owned record; no-ops
+    // once sized (test_zero_alloc).
     PPEP_RT_WARMUP_BEGIN
     rec.oracle.assign(n_cores, sim::EventVector{});
     rec.cu_vf.resize(cfg.n_cus);
-    retired_.assign(n_cores, 0.0);
-    sensor_.resize(n_ticks);
-    diode_.resize(n_ticks);
     PPEP_RT_WARMUP_END
+    std::fill(retired_.begin(), retired_.end(), 0.0);
     for (std::size_t cu = 0; cu < cfg.n_cus; ++cu)
         rec.cu_vf[cu] = chip_.cuVf(cu);
     rec.nb_vf = chip_.nbVf();
 
     for (std::size_t t = 0; t < n_ticks; ++t) {
-        chip_.stepInto(tick_);
-        sensor_[t] = tick_.sensor_power_w;
-        diode_[t] = tick_.diode_temp_k;
-        rec.true_power_w += tick_.truth.power.total;
-        rec.true_dynamic_w += tick_.truth.power.coreDynamicTotal() +
-                              tick_.truth.power.nb_dynamic;
-        rec.true_idle_w += tick_.truth.power.base +
-                           tick_.truth.power.housekeeping +
-                           tick_.truth.power.nb_static +
-                           tick_.truth.power.cuIdleTotal();
-        rec.true_nb_power_w += tick_.truth.power.nb_static +
-                               tick_.truth.power.nb_dynamic;
-        rec.true_temp_k += tick_.truth.temperature_k;
-        rec.nb_utilization += tick_.truth.nb_utilization;
+        const sim::TickResult &tick = chip_.tick();
+        const sim::PowerBreakdown &power = tick.truth.power;
+        sensor_[t] = tick.sensor_power_w;
+        diode_[t] = tick.diode_temp_k;
+        rec.true_power_w += power.total;
+        rec.true_dynamic_w += power.coreDynamicTotal() + power.nb_dynamic;
+        rec.true_idle_w += power.base + power.housekeeping +
+                           power.nb_static + power.cuIdleTotal();
+        rec.true_nb_power_w += power.nb_static + power.nb_dynamic;
+        rec.true_temp_k += tick.truth.temperature_k;
+        rec.nb_utilization += tick.truth.nb_utilization;
         for (std::size_t c = 0; c < n_cores; ++c) {
+            const sim::CoreActivity &act = tick.truth.activity[c];
             for (std::size_t e = 0; e < sim::kNumEvents; ++e)
-                rec.oracle[c][e] += tick_.truth.core_events[c][e];
-            retired_[c] += tick_.truth.activity[c].instructions;
+                rec.oracle[c][e] += act.events[e];
+            retired_[c] += act.instructions;
         }
     }
 

@@ -11,6 +11,7 @@
 #ifndef PPEP_TRACE_COLLECTOR_HPP
 #define PPEP_TRACE_COLLECTOR_HPP
 
+#include <span>
 #include <vector>
 
 #include "ppep/sim/chip.hpp"
@@ -53,6 +54,11 @@ class IntervalSource
 class Collector : public IntervalSource
 {
   public:
+    /**
+     * Bind to @p chip. The sample scratch is sized here for the longest
+     * interval the chip can run — ticks_per_interval plus the installed
+     * fault plan's tick_jitter_max — so install the plan first.
+     */
     explicit Collector(sim::Chip &chip);
 
     /** Run one nominal interval (ticks_per_interval ticks): runTicks(),
@@ -61,7 +67,8 @@ class Collector : public IntervalSource
 
     /**
      * The tick loop of every simulated interval: step the chip
-     * @p n_ticks times and fill every field of @p rec except the
+     * @p n_ticks times (at most the longest interval sized at
+     * construction) and fill every field of @p rec except the
      * sensor/diode means and pmc. Each tick's raw sensor and diode
      * sample stays in sensorSamples()/diodeSamples() until the next
      * call, for the caller to average.
@@ -70,12 +77,14 @@ class Collector : public IntervalSource
         PPEP_NONBLOCKING;
 
     /** Raw per-tick samples of the last runTicks() call. */
-    const std::vector<double> &sensorSamples() const { return sensor_; }
-    const std::vector<double> &diodeSamples() const { return diode_; }
-
-    /** Size the sample scratch for intervals up to @p n_ticks long, so
-     *  a longer interval does not grow it once warm. */
-    void reserveTicks(std::size_t n_ticks);
+    std::span<const double> sensorSamples() const
+    {
+        return {sensor_.data(), n_ticks_};
+    }
+    std::span<const double> diodeSamples() const
+    {
+        return {diode_.data(), n_ticks_};
+    }
 
     /** Collect @p n intervals back to back. */
     std::vector<IntervalRecord> collect(std::size_t n);
@@ -92,11 +101,12 @@ class Collector : public IntervalSource
 
   private:
     sim::Chip &chip_;
-    /** Per-interval scratch reused by runTicks(). */
-    sim::TickResult tick_;
+    /** Per-interval scratch of runTicks(), sized at construction. */
     std::vector<double> retired_;
     std::vector<double> sensor_;
     std::vector<double> diode_;
+    /** Ticks the last runTicks() call ran. */
+    std::size_t n_ticks_ = 0;
 };
 
 } // namespace ppep::trace

@@ -16,12 +16,15 @@
  * Two escape hatches exist, and they are deliberately distinct:
  *
  *  - PPEP_RT_WARMUP_BEGIN/END marks a *warm-up-only* allocation: a
- *    resize()/assign()/push_back() that grows scratch on the first few
- *    intervals and is a no-op once capacity is warm. It suppresses the
- *    compile-time diagnostic AND disables RealtimeSanitizer for the
- *    scope, because the allocation is real (on cold iterations) and by
- *    design. test_zero_alloc remains the proof that these sites go
- *    quiet once warm.
+ *    resize()/assign()/push_back() of a buffer whose length its owner
+ *    cannot know when it is built (a caller-owned record, a queue whose
+ *    depth the fault plan sets), which grows on the first few intervals
+ *    and is a no-op once capacity is warm. A buffer whose size the
+ *    ChipConfig fixes is sized at construction instead and needs no
+ *    escape. It suppresses the compile-time diagnostic AND disables
+ *    RealtimeSanitizer for the scope, because the allocation is real
+ *    (on cold iterations) and by design. test_zero_alloc remains the
+ *    proof that these sites go quiet once warm.
  *
  *  - PPEP_RT_OPAQUE_BEGIN/END marks a call the effect analysis cannot
  *    see through but that is non-blocking in practice (std::to_chars,

@@ -15,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <vector>
 
@@ -24,6 +22,8 @@
 #include "ppep/runtime/fleet.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -52,8 +52,7 @@ TEST(ArbiterSoak, CapsHoldTheBudgetForTenThousandIntervals)
     spec.cfg = sim::fx8320Config();
     spec.training_seed = 91;
     spec.training_combos = smallTrainingSet();
-    spec.store.emplace(::testing::TempDir() + "ppep_arbsoak_cache_" +
-                       std::to_string(::getpid()));
+    spec.store.emplace(test::tempPath("arbsoak_cache"));
     spec.warmup = 1;
     spec.intervals = kIntervals;
 

@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -24,6 +22,8 @@
 #include "ppep/sim/chip_config.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -46,9 +46,7 @@ const std::string &
 cacheDir()
 {
     static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() +
-                              "ppep_drift_cache_" +
-                              std::to_string(::getpid());
+        const std::string d = test::tempPath("drift_cache");
         std::filesystem::remove_all(d);
         return d;
     }();

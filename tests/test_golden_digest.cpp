@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -37,6 +35,8 @@
 #include "ppep/sim/chip.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -73,8 +73,7 @@ std::string
 cacheDir()
 {
     static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() + "ppep_golden_" +
-                              std::to_string(::getpid());
+        const std::string d = test::tempPath("golden_cache");
         std::filesystem::remove_all(d);
         return d;
     }();

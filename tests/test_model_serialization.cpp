@@ -15,6 +15,8 @@
 #include "ppep/trace/collector.hpp"
 #include "ppep/workloads/suite.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace ppep::model;
@@ -144,8 +146,7 @@ TEST(Serialization, RoundTripPreservesChipEstimates)
 TEST(Serialization, FileRoundTrip)
 {
     const auto &s = Shared::get();
-    const std::string path =
-        ::testing::TempDir() + "ppep_models_test.txt";
+    const std::string path = ppep::test::tempPath("models.txt");
     saveModels(s.models, path);
     const auto loaded = loadModels(path, s.cfg);
     EXPECT_DOUBLE_EQ(loaded.alpha, s.models.alpha);

@@ -12,8 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <limits>
 #include <vector>
@@ -23,6 +21,8 @@
 #include "ppep/runtime/fleet.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -346,9 +346,7 @@ const std::string &
 cacheDir()
 {
     static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() +
-                              "ppep_arbiter_cache_" +
-                              std::to_string(::getpid());
+        const std::string d = test::tempPath("arbiter_cache");
         std::filesystem::remove_all(d);
         return d;
     }();
@@ -501,9 +499,7 @@ TEST(ArbiterFleet, SinglePassSettlesFasterThanIterativeBaseline)
 TEST(ArbiterFleet, RecordThenReplayReproducesArbitratedDigests)
 {
     namespace fs = std::filesystem;
-    const std::string path = ::testing::TempDir() +
-                             "ppep_arbiter_replay_" +
-                             std::to_string(::getpid()) + ".trc";
+    const std::string path = test::tempPath("arbiter_replay.trc");
     fs::remove(path);
     const double total_w = uncappedFleetWatts(3);
     auto makeSpec = [&] {
@@ -561,10 +557,11 @@ TEST(ArbiterFleet, TenantThrottledWattsSplitProportionally)
                     s.mean_throttled_w, 1e-9 + 1e-6 * s.mean_throttled_w);
         const double p0 = s.summary.tenant_mean_power_w[0];
         const double p1 = s.summary.tenant_mean_power_w[1];
-        if (p0 > 0.0 && p1 > 0.0)
+        if (p0 > 0.0 && p1 > 0.0) {
             EXPECT_NEAR(s.tenant_throttled_w[0] * p1,
                         s.tenant_throttled_w[1] * p0,
                         1e-6 * s.mean_throttled_w * (p0 + p1));
+        }
     }
 }
 

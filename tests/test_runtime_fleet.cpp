@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -18,6 +16,8 @@
 #include "ppep/runtime/fleet.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -46,9 +46,7 @@ const std::string &
 cacheDir()
 {
     static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() +
-                              "ppep_fleet_cache_" +
-                              std::to_string(::getpid());
+        const std::string d = test::tempPath("fleet_cache");
         std::filesystem::remove_all(d);
         return d;
     }();
@@ -302,7 +300,7 @@ TEST(Fleet, EachPlatformTrainsOnTheCombinationsItCanHost)
 TEST(Fleet, HeterogeneousCsvHeadersMatchEachConfig)
 {
     namespace fs = std::filesystem;
-    const std::string dir = ::testing::TempDir() + "ppep_fleet_hetero";
+    const std::string dir = test::tempPath("fleet_hetero");
     fs::remove_all(dir);
 
     auto spec = heteroSpec();
@@ -363,10 +361,10 @@ TEST(FleetDeathTest, OverlongNamesAreFatalWhenRecordingOrReplaying)
     // Without a trace the name only labels results and a CSV file.
     Fleet untraced(spec);
 
-    spec.record_path = ::testing::TempDir() + "ppep_fleet_names.trc";
+    spec.record_path = test::tempPath("fleet_names.trc");
     EXPECT_DEATH(Fleet{spec}, "is longer than the 39 bytes");
     spec.record_path.clear();
-    spec.replay_path = ::testing::TempDir() + "ppep_fleet_names.trc";
+    spec.replay_path = test::tempPath("fleet_names.trc");
     EXPECT_DEATH(Fleet{spec}, "is longer than the 39 bytes");
 
     // A name that fits the stream table is fine.

@@ -17,6 +17,8 @@
 #include "ppep/trace/collector.hpp"
 #include "ppep/workloads/suite.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace ppep;
@@ -36,8 +38,7 @@ smallTrainingSet(std::size_t n = 8)
 std::string
 freshCacheDir(const std::string &tag)
 {
-    const std::string dir =
-        ::testing::TempDir() + "ppep_store_" + tag;
+    const std::string dir = test::tempPath("store_" + tag);
     std::filesystem::remove_all(dir);
     return dir;
 }

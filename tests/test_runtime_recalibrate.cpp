@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -22,6 +20,8 @@
 #include "ppep/sim/chip_config.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -45,9 +45,7 @@ const std::string &
 cacheDir()
 {
     static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() +
-                              "ppep_recal_cache_" +
-                              std::to_string(::getpid());
+        const std::string d = test::tempPath("recal_cache");
         std::filesystem::remove_all(d);
         return d;
     }();
@@ -265,9 +263,7 @@ TEST(RecalibrateDeath, ExternalGovernorIsIncompatible)
 
 TEST(Recalibrate, AdoptionsAreJournalledToTheStore)
 {
-    const std::string dir = ::testing::TempDir() +
-                            "ppep_recal_lineage_" +
-                            std::to_string(::getpid());
+    const std::string dir = test::tempPath("recal_lineage");
     std::filesystem::remove_all(dir);
     runtime::ModelStore store(dir);
     auto session = Session::builder(sim::fx8320Config())

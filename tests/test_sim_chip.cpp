@@ -173,7 +173,7 @@ TEST(Chip, PmcReadMatchesOracleForSteadyLoad)
     for (int t = 0; t < 10; ++t) {
         const auto r = chip.step();
         for (std::size_t e = 0; e < kNumEvents; ++e)
-            oracle[e] += r.truth.core_events[0][e];
+            oracle[e] += r.truth.activity[0].events[e];
     }
     const auto pmc = chip.readPmc(0);
     for (std::size_t e = 0; e < kNumEvents; ++e) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Property test of the NB contention solve: NorthBridge::resolveInto()
+ * Property test of the NB contention solve: NorthBridge::resolve()
  * against the damped fixed-point iteration it replaced
  * (nb_damped_oracle.cpp), over seeded random demand sets of 0-16 busy
  * cores — CPU-bound, memory-bound, zero-L3 and storm phases, both NB VF
@@ -138,7 +138,7 @@ TEST(NbSolver, MatchesDampedOracleWhereItConverged)
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         const Draw d = draw(seed);
         const NorthBridge nb = northBridge(d);
-        nb.resolveInto(d.demands, res);
+        res = nb.resolve(d.demands);
         if (!ppep::oracle::resolveDamped(d.cfg, nb, d.demands, ref))
             continue;
         ++converged;
@@ -165,7 +165,7 @@ TEST(NbSolver, SelfConsistentEverywhere)
     NbResolution res;
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         const Draw d = draw(seed);
-        northBridge(d).resolveInto(d.demands, res);
+        res = northBridge(d).resolve(d.demands);
         const double u_max = d.cfg.nb.max_utilization;
         ASSERT_EQ(res.mem_lat_ns.size(), d.demands.size()) << d.what;
         ASSERT_GE(res.utilization, 0.0) << d.what;
@@ -195,7 +195,7 @@ TEST(NbSolver, ConvergesInFewEvaluations)
     NbResolution res;
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         const Draw d = draw(seed);
-        northBridge(d).resolveInto(d.demands, res);
+        res = northBridge(d).resolve(d.demands);
         if (d.demands.empty()) {
             EXPECT_EQ(res.evaluations, 0);
             continue;

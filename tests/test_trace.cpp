@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ppep/sim/fault.hpp"
 #include "ppep/trace/collector.hpp"
 #include "ppep/trace/segmenter.hpp"
 #include "ppep/workloads/microbench.hpp"
@@ -109,6 +110,30 @@ TEST(Collector, CollectUntilFinishedHonoursCap)
     chip.setJob(0, ppep::workloads::makeBenchA()); // loops forever
     Collector col(chip);
     EXPECT_EQ(col.collectUntilFinished(7).size(), 7u);
+}
+
+TEST(Collector, SizedForTheInstalledPlansLongestInterval)
+{
+    sim::Chip chip(sim::fx8320Config(), 1);
+    chip.setFaultPlan(sim::FaultPlan::parse("jitter=1,jitter_max=3"), 1);
+    Collector col(chip);
+    IntervalRecord rec;
+    const std::size_t longest = chip.config().ticks_per_interval + 3;
+    col.runTicks(longest, rec);
+    EXPECT_EQ(col.sensorSamples().size(), longest);
+    col.runTicks(2, rec);
+    EXPECT_EQ(col.diodeSamples().size(), 2u);
+}
+
+TEST(CollectorDeathTest, IntervalLongerThanItWasSizedForIsFatal)
+{
+    // The sample scratch is sized at construction; a fault plan that
+    // jitters intervals longer must be installed before the Collector.
+    sim::Chip chip(sim::fx8320Config(), 1);
+    Collector col(chip);
+    IntervalRecord rec;
+    EXPECT_DEATH(col.runTicks(chip.config().ticks_per_interval + 1, rec),
+                 "longest interval");
 }
 
 TEST(Segmenter, TimelineAccumulates)

@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +32,8 @@
 #include "ppep/trace/collector.hpp"
 #include "ppep/trace/replay.hpp"
 #include "ppep/workloads/suite.hpp"
+
+#include "temp_path.hpp"
 
 // --- allocation counting hook (see test_zero_alloc.cpp) ------------------
 
@@ -111,9 +111,7 @@ const std::string &
 cacheDir()
 {
     static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() +
-                              "ppep_replay_cache_" +
-                              std::to_string(::getpid());
+        const std::string d = test::tempPath("replay_cache");
         std::filesystem::remove_all(d);
         return d;
     }();
@@ -124,8 +122,7 @@ cacheDir()
 std::string
 tracePath(const std::string &tag)
 {
-    return ::testing::TempDir() + "ppep_replay_" + tag + "_" +
-           std::to_string(::getpid()) + ".trc";
+    return test::tempPath("replay_" + tag + ".trc");
 }
 
 FleetSpec

@@ -30,6 +30,8 @@
 #include "ppep/util/csv.hpp"
 #include "ppep/util/fmt.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace ppep;
@@ -200,13 +202,12 @@ split(const std::string &line, char sep)
 
 TEST(FmtCsvWriter, NumericRowsParseBackBitExactly)
 {
-    const auto path = std::filesystem::temp_directory_path() /
-                      "ppep_fmt_csv_roundtrip.csv";
+    const std::string path = test::tempPath("fmt_roundtrip.csv");
     const std::vector<double> row = {1.0 / 3.0, -0.0, 0.1,
                                      std::numeric_limits<double>::max(),
                                      6.02214076e23};
     {
-        util::CsvWriter csv(path.string());
+        util::CsvWriter csv(path);
         csv.writeRow(row);
     }
     std::ifstream in(path);

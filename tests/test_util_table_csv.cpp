@@ -12,6 +12,8 @@
 #include "ppep/util/csv.hpp"
 #include "ppep/util/table.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using ppep::util::CsvWriter;
@@ -81,7 +83,7 @@ TEST(Table, CellContentsPreserved)
 class CsvTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "ppep_csv_test.csv";
+    std::string path_ = ppep::test::tempPath("table.csv");
 
     std::string
     readBack()

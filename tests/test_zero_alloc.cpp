@@ -391,6 +391,54 @@ TEST(ZeroAlloc, HardenedJitteredSessionIntervalIsAllocationFree)
     EXPECT_GT(longer, 0u) << "no counted interval ran long";
 }
 
+/** Allocations observed during a chip's first tick. */
+std::size_t
+allocationsInFirstTick(sim::Chip &chip)
+{
+    g_news.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    chip.tick();
+    g_counting.store(false, std::memory_order_relaxed);
+    return g_news.load(std::memory_order_relaxed);
+}
+
+TEST(ZeroAlloc, FreshChipFirstTickIsAllocationFree)
+{
+    // The chip sizes its tick result and scratch from its config at
+    // construction, so not even the first tick warms anything. Two busy
+    // cores leave gated CUs on the FX-8320 and idle cores on both.
+    sim::Chip fx(sim::fx8320Config(), 5);
+    fx.setPowerGatingEnabled(true);
+    workloads::launch(fx, workloads::replicate("433.milc", 2), true);
+    EXPECT_EQ(allocationsInFirstTick(fx), 0u) << "FX-8320, PG on";
+    EXPECT_TRUE(fx.step().truth.cu_gated.back());
+
+    sim::Chip phenom(sim::phenomIIConfig(), 5);
+    workloads::launch(phenom, workloads::replicate("433.milc", 2), true);
+    EXPECT_EQ(allocationsInFirstTick(phenom), 0u) << "Phenom II";
+}
+
+TEST(ZeroAlloc, FreshCollectorFirstIntervalIsAllocationFree)
+{
+    // The Collector sizes its per-interval scratch at construction too;
+    // only the caller's record is left to size, and here it comes
+    // presized.
+    sim::Chip chip(sim::fx8320Config(), 5);
+    workloads::launch(chip, workloads::replicate("433.milc", 4), true);
+    trace::Collector collector(chip);
+    trace::IntervalRecord rec;
+    rec.oracle.resize(chip.config().coreCount());
+    rec.pmc.resize(chip.config().coreCount());
+    rec.cu_vf.resize(chip.config().n_cus);
+
+    g_news.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    collector.collectIntervalInto(rec);
+    g_counting.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u);
+    EXPECT_GT(rec.busy_cores, 0u);
+}
+
 TEST(ZeroAlloc, ArbiterGatherDecideIsAllocationFreeOnceConfigured)
 {
     // The fleet arbiter's whole hot path — depositing every session's

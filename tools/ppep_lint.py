@@ -66,6 +66,15 @@ knows about:
                wall-clock durations are measured, never folded into
                decisions or digests.
 
+One rule covers tests/ instead (`--tests DIR`):
+
+  temp-path    `TempDir() +` and `temp_directory_path()` are banned in
+               tests/ outside temp_path.hpp: ctest runs every case as
+               its own process, several at once, so a fixed name under
+               the temp dir races. Scratch paths come from
+               test::tempPath(), which names them after the process and
+               the running test.
+
 Exit status 0 = clean, 1 = findings, 2 = usage error.
 Run `ppep_lint.py --self-test` to check the rules against the fixtures
 in tools/lint_fixtures/ (registered in ctest as test_ppep_lint).
@@ -163,7 +172,6 @@ DETERMINISM_FILES = {
     "runtime/telemetry.cpp", "runtime/telemetry.hpp",
     "runtime/arbiter.cpp", "runtime/arbiter.hpp",
     "runtime/tenant.cpp", "runtime/tenant.hpp",
-    "trace/export.cpp", "trace/export.hpp",
     "trace/replay.cpp", "trace/replay.hpp",
 }
 UNORDERED_RE = re.compile(
@@ -178,6 +186,11 @@ FP_CONTRACT_OFF_RE = re.compile(r"ffp-contract[=:]?\s*off")
 SEED_RE = re.compile(
     r"\b(std::random_device|srand\s*\(|system_clock"
     r"|time\s*\(\s*(?:nullptr|NULL|0)\s*\))")
+
+TEMP_PATH_RE = re.compile(
+    r"\bTempDir\s*\(\s*\)\s*\+|\btemp_directory_path\s*\(")
+# The helper that builds per-process, per-test paths from TempDir().
+TEMP_PATH_ALLOWED = {"tests/temp_path.hpp"}
 
 ESCAPE_RE = re.compile(r"PPEP_RT_(WARMUP|OPAQUE)_BEGIN")
 ESCAPE_JUSTIFY_RE = re.compile(r"rt-escape:")
@@ -418,21 +431,33 @@ def check_seed(path: Path, rp: str, lines: list[str], out: list):
                                "only, never digested)"))
 
 
+def check_temp_path(path: Path, rp: str, lines: list[str], out: list):
+    if not rp.startswith("tests/") or rp in TEMP_PATH_ALLOWED:
+        return
+    for i, raw in enumerate(lines, 1):
+        if TEMP_PATH_RE.search(strip_line_comment(raw)):
+            out.append(Finding(path, i, "temp-path",
+                               "fixed path under the temp dir races "
+                               "between concurrent test processes; use "
+                               "test::tempPath() from temp_path.hpp"))
+
+
 RULES = [check_formatting, check_alloc, check_hot_files, check_rt_escape,
          check_nolint, check_guards, check_model_docs, check_raw_sync,
          check_unordered_iter, check_fp_contract, check_seed]
+TEST_RULES = [check_temp_path]
 
 
 # --- driver ----------------------------------------------------------------
 
-def lint_tree(src_root: Path) -> list[Finding]:
+def lint_tree(root: Path, rules: list, prefix: str = "") -> list[Finding]:
     findings: list[Finding] = []
-    for path in sorted(src_root.rglob("*")):
+    for path in sorted(root.rglob("*")):
         if path.suffix not in (".hpp", ".cpp"):
             continue
         lines = path.read_text(encoding="utf-8").splitlines()
-        rp = rel(path, src_root)
-        for rule in RULES:
+        rp = prefix + rel(path, root)
+        for rule in rules:
             rule(path, rp, lines, findings)
     return findings
 
@@ -451,7 +476,7 @@ def self_test(fixtures: Path) -> int:
         m = re.match(r"//\s*lint-as:\s*(\S+)", lines[0]) if lines else None
         rp = m.group(1) if m else path.name
         findings: list[Finding] = []
-        for rule in RULES:
+        for rule in RULES + TEST_RULES:
             rule(path, rp, lines, findings)
         rules_hit = {f.rule for f in findings}
         if path.name.startswith("bad_"):
@@ -474,6 +499,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=None,
                     help="source root to lint (default: <repo>/src/ppep)")
+    ap.add_argument("--tests", type=Path, default=None, metavar="DIR",
+                    help="lint the test tree DIR with the tests/ rules "
+                         "instead of the source root")
     ap.add_argument("--self-test", action="store_true",
                     help="run the rules against tools/lint_fixtures/")
     args = ap.parse_args()
@@ -482,18 +510,21 @@ def main() -> int:
     if args.self_test:
         return self_test(here / "lint_fixtures")
 
-    src_root = args.src or here.parent / "src" / "ppep"
-    if not src_root.is_dir():
-        print(f"ppep_lint: no such source root: {src_root}",
-              file=sys.stderr)
+    if args.tests:
+        root, rules, prefix = args.tests, TEST_RULES, "tests/"
+    else:
+        root, rules, prefix = (args.src or here.parent / "src" / "ppep",
+                               RULES, "")
+    if not root.is_dir():
+        print(f"ppep_lint: no such source root: {root}", file=sys.stderr)
         return 2
 
-    findings = lint_tree(src_root)
+    findings = lint_tree(root, rules, prefix)
     for f in findings:
         print(f)
     print(f"ppep_lint: {len(findings)} finding(s) over "
-          f"{sum(1 for _ in src_root.rglob('*.hpp'))} headers and "
-          f"{sum(1 for _ in src_root.rglob('*.cpp'))} sources")
+          f"{sum(1 for _ in root.rglob('*.hpp'))} headers and "
+          f"{sum(1 for _ in root.rglob('*.cpp'))} sources")
     return 1 if findings else 0
 
 
