@@ -76,20 +76,6 @@ BM_FullExploration(benchmark::State &state)
 BENCHMARK(BM_FullExploration);
 
 void
-BM_FullExplorationReused(benchmark::State &state)
-{
-    // The governor's steady-state path: exploreInto() with a reused
-    // buffer performs no heap allocation after the first interval.
-    const auto &ctx = Context::get();
-    std::vector<model::VfPrediction> preds;
-    for (auto _ : state) {
-        ctx.ppep.exploreInto(ctx.rec, preds);
-        benchmark::DoNotOptimize(preds);
-    }
-}
-BENCHMARK(BM_FullExplorationReused);
-
-void
 BM_FullExplorationScratch(benchmark::State &state)
 {
     // The zero-allocation overload the governors use: the observation
@@ -104,17 +90,6 @@ BM_FullExplorationScratch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullExplorationScratch);
-
-void
-BM_SingleVfPrediction(benchmark::State &state)
-{
-    const auto &ctx = Context::get();
-    for (auto _ : state) {
-        auto pred = ctx.ppep.predictVf(ctx.rec, 0);
-        benchmark::DoNotOptimize(pred);
-    }
-}
-BENCHMARK(BM_SingleVfPrediction);
 
 void
 BM_EventPrediction(benchmark::State &state)

@@ -10,8 +10,7 @@ namespace ppep::governor {
 CoScaleLiteGovernor::CoScaleLiteGovernor(const sim::ChipConfig &cfg,
                                          const model::Ppep &ppep,
                                          double max_slowdown)
-    : cfg_(cfg), ppep_(ppep), max_slowdown_(max_slowdown),
-      last_core_vf_(cfg.vf_table.top())
+    : cfg_(cfg), ppep_(ppep), max_slowdown_(max_slowdown)
 {
     PPEP_ASSERT(max_slowdown_ >= 0.0 && max_slowdown_ < 1.0,
                 "slowdown budget out of [0,1)");
@@ -46,7 +45,6 @@ CoScaleLiteGovernor::decide(const trace::IntervalRecord &rec,
         any_busy = any_busy || b > 0;
     if (!any_busy) {
         nb_low_ = false;
-        last_core_vf_ = 0;
         return std::vector<std::size_t>(cfg_.n_cus, 0);
     }
 
@@ -124,7 +122,6 @@ CoScaleLiteGovernor::decide(const trace::IntervalRecord &rec,
     }
 
     nb_low_ = best->nb_low;
-    last_core_vf_ = best->vf;
     return std::vector<std::size_t>(cfg_.n_cus, best->vf);
 }
 

@@ -53,16 +53,12 @@ class CoScaleLiteGovernor : public Governor
     /** Whether the last decision chose the low NB point. */
     bool lastNbLow() const { return nb_low_; }
 
-    /** The last chosen core VF index. */
-    std::size_t lastCoreVf() const { return last_core_vf_; }
-
   private:
     const sim::ChipConfig &cfg_;
     const model::Ppep &ppep_;
     double max_slowdown_;
     NbWhatIfFactors factors_{};
     bool nb_low_ = false;
-    std::size_t last_core_vf_;
 };
 
 } // namespace ppep::governor

@@ -42,9 +42,6 @@ class EnergyOptimalGovernor : public Governor
 
     std::string name() const override;
 
-    /** The VF the policy chose most recently. */
-    std::size_t lastChoice() const { return last_choice_; }
-
     const std::vector<model::VfPrediction> *
     lastExploration() const PPEP_NONBLOCKING override
     {

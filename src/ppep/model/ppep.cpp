@@ -16,81 +16,9 @@ Ppep::Ppep(const sim::ChipConfig &cfg, ChipPowerModel power,
 }
 
 void
-Ppep::predictVfInto(const trace::IntervalRecord &rec,
-                    const std::vector<CoreObservation> &obs,
-                    std::size_t target_vf,
-                    VfPrediction &out) const PPEP_NONBLOCKING
-{
-    PPEP_ASSERT(target_vf < plan_.size(),
-                "target VF index outside the software table");
-    const double freq_ghz = plan_.freq_ghz[target_vf];
-    const double vscale = plan_.vscale[target_vf];
-    const DynamicPowerModel &dynamic = power_.dynamicModel();
-
-    out.vf_index = target_vf;
-    out.total_ips = 0.0;
-    out.energy_per_inst = 0.0;
-    out.edp_per_inst = 0.0;
-
-    // Eq. 2 idle part with the voltage polynomials pre-evaluated.
-    out.idle_w = plan_.idle_slope[target_vf] * rec.diode_temp_k +
-                 plan_.idle_icept[target_vf];
-
-    double dyn_core_w = 0.0, dyn_nb_w = 0.0;
-    // rt-escape: warm-up growth of the caller-owned prediction buffer.
-    PPEP_RT_WARMUP_BEGIN
-    out.cores.resize(rec.pmc.size());
-    PPEP_RT_WARMUP_END
-    for (std::size_t c = 0; c < rec.pmc.size(); ++c) {
-        const PredictedCoreState pred =
-            EventPredictor::predictAt(obs[c], freq_ghz);
-        CorePpe &core = out.cores[c];
-        core.cpi = pred.cpi;
-        core.ips = pred.ips;
-        core.busy = pred.ips > 0.0;
-        std::array<double, sim::kNumPowerEvents> rates{};
-        for (std::size_t i = 0; i < sim::kNumPowerEvents; ++i)
-            rates[i] = pred.rates_per_s[i];
-        double core_w = 0.0, nb_w = 0.0;
-        dynamic.splitScaled(rates, vscale, core_w, nb_w);
-        core.dynamic_w = core_w + nb_w;
-        dyn_core_w += core_w;
-        dyn_nb_w += nb_w;
-        if (core.busy)
-            out.total_ips +=
-                pred.rates_per_s[sim::eventIndex(
-                    sim::Event::RetiredInst)];
-    }
-
-    out.dynamic_w = dyn_core_w + dyn_nb_w;
-    out.chip_power_w = out.idle_w + out.dynamic_w;
-    if (out.total_ips > 0.0) {
-        out.energy_per_inst = out.chip_power_w / out.total_ips;
-        out.edp_per_inst = out.chip_power_w / (out.total_ips *
-                                               out.total_ips);
-    }
-}
-
-VfPrediction
-Ppep::predictVf(const trace::IntervalRecord &rec,
-                std::size_t target_vf) const
-{
-    PPEP_ASSERT(!rec.cu_vf.empty(), "record has no VF context");
-    const sim::VfState &now = cfg_.vf_table.state(rec.cu_vf.front());
-
-    std::vector<CoreObservation> obs;
-    obs.reserve(rec.pmc.size());
-    for (const auto &core : rec.pmc)
-        obs.push_back(EventPredictor::observe(core, rec.duration_s,
-                                              now.freq_ghz));
-    VfPrediction out;
-    predictVfInto(rec, obs, target_vf, out);
-    return out;
-}
-
-void
-Ppep::observeCores(const trace::IntervalRecord &rec,
-                   std::vector<CoreObservation> &obs) const PPEP_NONBLOCKING
+Ppep::exploreInto(const trace::IntervalRecord &rec,
+                  std::vector<VfPrediction> &out,
+                  ExploreScratch &scratch) const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(!rec.cu_vf.empty(), "record has no VF context");
     const sim::VfState &now = cfg_.vf_table.state(rec.cu_vf.front());
@@ -99,19 +27,11 @@ Ppep::observeCores(const trace::IntervalRecord &rec,
     // invariants) is shared across the whole VF sweep.
     // rt-escape: warm-up growth of the caller-owned observation buffer.
     PPEP_RT_WARMUP_BEGIN
-    obs.resize(rec.pmc.size());
+    scratch.obs.resize(rec.pmc.size());
     PPEP_RT_WARMUP_END
     for (std::size_t c = 0; c < rec.pmc.size(); ++c)
-        obs[c] = EventPredictor::observe(rec.pmc[c], rec.duration_s,
-                                         now.freq_ghz);
-}
-
-void
-Ppep::exploreInto(const trace::IntervalRecord &rec,
-                  std::vector<VfPrediction> &out,
-                  ExploreScratch &scratch) const PPEP_NONBLOCKING
-{
-    observeCores(rec, scratch.obs);
+        scratch.obs[c] = EventPredictor::observe(
+            rec.pmc[c], rec.duration_s, now.freq_ghz);
 
     const std::size_t n_cores = scratch.obs.size();
     const std::size_t n_vf = plan_.size();
@@ -119,7 +39,7 @@ Ppep::exploreInto(const trace::IntervalRecord &rec,
 
     // Assemble the kernel's core×VF matrices into per-VF predictions.
     // Accumulation runs in core order per VF — the same order as the
-    // scalar reference — so the sums round identically.
+    // scalar oracle in tests/ — so the sums round identically.
     // rt-escape: warm-up growth of the caller-owned prediction vector.
     PPEP_RT_WARMUP_BEGIN
     out.resize(n_vf);
@@ -162,33 +82,12 @@ Ppep::exploreInto(const trace::IntervalRecord &rec,
     }
 }
 
-void
-Ppep::exploreScalarInto(const trace::IntervalRecord &rec,
-                        std::vector<VfPrediction> &out,
-                        ExploreScratch &scratch) const PPEP_NONBLOCKING
-{
-    observeCores(rec, scratch.obs);
-    // rt-escape: warm-up growth of the caller-owned prediction vector.
-    PPEP_RT_WARMUP_BEGIN
-    out.resize(plan_.size());
-    PPEP_RT_WARMUP_END
-    for (std::size_t vf = 0; vf < plan_.size(); ++vf)
-        predictVfInto(rec, scratch.obs, vf, out[vf]);
-}
-
-void
-Ppep::exploreInto(const trace::IntervalRecord &rec,
-                  std::vector<VfPrediction> &out) const
-{
-    ExploreScratch scratch;
-    exploreInto(rec, out, scratch);
-}
-
 std::vector<VfPrediction>
 Ppep::explore(const trace::IntervalRecord &rec) const
 {
     std::vector<VfPrediction> out;
-    exploreInto(rec, out);
+    ExploreScratch scratch;
+    exploreInto(rec, out, scratch);
     return out;
 }
 

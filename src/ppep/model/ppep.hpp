@@ -12,8 +12,8 @@
  *
  * The full-table sweep runs on the batched VF×core kernel
  * (explore_kernel.hpp): a branch-free data-parallel pass over the
- * precomputed per-VF plan, bit-identical to the scalar reference path
- * that exploreScalarInto() retains for differential testing.
+ * precomputed per-VF plan, bit-identical to the scalar per-VF sweep
+ * that tests/explore_scalar_oracle.cpp keeps as its test oracle.
  */
 
 #ifndef PPEP_MODEL_PPEP_HPP
@@ -94,20 +94,11 @@ class Ppep
 
     /**
      * The Fig. 5 pipeline for global DVFS: predictions at every VF state
-     * for the workload captured in @p rec.
+     * for the workload captured in @p rec. Allocates its result and
+     * scratch; a control loop calls exploreInto() instead.
      */
     std::vector<VfPrediction>
     explore(const trace::IntervalRecord &rec) const;
-
-    /**
-     * explore() into a caller-owned buffer, reusing its allocations.
-     * A governor calling this every 200 ms interval with the same buffer
-     * performs no heap allocation after the first call apart from the
-     * scratch buffers; pass an ExploreScratch as well to eliminate
-     * those too.
-     */
-    void exploreInto(const trace::IntervalRecord &rec,
-                     std::vector<VfPrediction> &out) const;
 
     /**
      * The fully allocation-free exploration: every buffer —
@@ -118,20 +109,6 @@ class Ppep
     void exploreInto(const trace::IntervalRecord &rec,
                      std::vector<VfPrediction> &out,
                      ExploreScratch &scratch) const PPEP_NONBLOCKING;
-
-    /**
-     * The scalar reference exploration: the original per-VF
-     * predictAt() loop, kept as the golden baseline the batched kernel
-     * is differentially tested (bit-identical) and benchmarked
-     * against. Semantically interchangeable with exploreInto().
-     */
-    void exploreScalarInto(const trace::IntervalRecord &rec,
-                           std::vector<VfPrediction> &out,
-                           ExploreScratch &scratch) const PPEP_NONBLOCKING;
-
-    /** Prediction at one VF state (global DVFS). */
-    VfPrediction predictVf(const trace::IntervalRecord &rec,
-                           std::size_t target_vf) const;
 
     /**
      * Prediction for a per-CU VF assignment, assuming per-CU voltage
@@ -156,17 +133,6 @@ class Ppep
     const ExplorePlan &plan() const { return plan_; }
 
   private:
-    /** predictVf() into an existing prediction, reusing its buffers. */
-    void predictVfInto(const trace::IntervalRecord &rec,
-                       const std::vector<CoreObservation> &obs,
-                       std::size_t target_vf,
-                       VfPrediction &out) const PPEP_NONBLOCKING;
-
-    /** Shared front half of the sweep: per-core observations. */
-    void observeCores(const trace::IntervalRecord &rec,
-                      std::vector<CoreObservation> &obs) const
-        PPEP_NONBLOCKING;
-
     sim::ChipConfig cfg_;
     ChipPowerModel power_;
     PgIdleModel pg_;

@@ -225,7 +225,6 @@ class FleetArbiter
     {
         return measured_.data();
     }
-    std::size_t sessionCount() const PPEP_NONBLOCKING { return n_; }
     double headroomLastW() const PPEP_NONBLOCKING { return headroom_last_; }
     bool lastViolation() const PPEP_NONBLOCKING { return last_violation_; }
     double budgetAt(std::size_t interval) const PPEP_NONBLOCKING

@@ -49,11 +49,13 @@ cappingGovernor(double guard_band)
 struct Session::State
 {
     sim::ChipConfig cfg;
-    std::optional<model::TrainedModels> models;
-    std::optional<model::Ppep> ppep;
-    /** Fleet path: caller-owned immutable models shared across sessions. */
-    const model::TrainedModels *shared_models = nullptr;
-    const model::Ppep *shared_ppep = nullptr;
+    /** Models this session trained, loaded or was handed by value. */
+    std::optional<model::TrainedModels> owned_models;
+    std::optional<model::Ppep> owned_ppep;
+    /** The session's models: the owned pair, or the caller-owned
+     *  immutable pair a fleet shares; null when it has none. */
+    const model::TrainedModels *models = nullptr;
+    const model::Ppep *ppep = nullptr;
     std::optional<sim::Chip> chip;
     std::unique_ptr<governor::Governor> owned_gov;
     governor::Governor *gov = nullptr;
@@ -71,7 +73,6 @@ struct Session::State
     TenantAttribution attribution;
     std::vector<std::string> tenant_names;
     // Hardened-path members; declared after chip so they die first.
-    bool hardened = false;
     std::optional<Sampler> sampler;
     std::optional<HealthMonitor> monitor;
     std::unique_ptr<governor::DegradedModeGovernor> degraded_gov;
@@ -139,14 +140,6 @@ Session::Builder::onePerCu(const std::vector<std::string> &programs)
                 "more programs than compute units");
     for (std::size_t i = 0; i < programs.size(); ++i)
         jobs_.push_back({i * cfg_.cores_per_cu, programs[i], true});
-    return *this;
-}
-
-Session::Builder &
-Session::Builder::combo(const workloads::Combination &c, bool looping)
-{
-    combo_ = &c;
-    combo_looping_ = looping;
     return *this;
 }
 
@@ -229,7 +222,6 @@ Session::Builder &
 Session::Builder::faults(const sim::FaultPlan &plan)
 {
     plan_ = plan;
-    hardened_ = true;
     return *this;
 }
 
@@ -237,30 +229,6 @@ Session::Builder &
 Session::Builder::faultSeed(std::uint64_t s)
 {
     fault_seed_ = s;
-    return *this;
-}
-
-Session::Builder &
-Session::Builder::samplerPolicy(const SamplerPolicy &p)
-{
-    sampler_policy_ = p;
-    hardened_ = true;
-    return *this;
-}
-
-Session::Builder &
-Session::Builder::healthPolicy(const HealthPolicy &p)
-{
-    health_policy_ = p;
-    hardened_ = true;
-    return *this;
-}
-
-Session::Builder &
-Session::Builder::safePolicy(const ppep::governor::SafePolicy &p)
-{
-    safe_policy_ = p;
-    hardened_ = true;
     return *this;
 }
 
@@ -275,7 +243,6 @@ Session::Builder &
 Session::Builder::recalibration(const RecalibrationPolicy &p)
 {
     recal_policy_ = p;
-    hardened_ = true;
     return *this;
 }
 
@@ -296,33 +263,34 @@ Session::Builder::build()
         models_.has_value() || store_.has_value() ||
         (external_gov_ == nullptr && shared_ppep_ == nullptr);
     if (shared_ppep_) {
-        state->shared_models = shared_models_;
-        state->shared_ppep = shared_ppep_;
+        state->models = shared_models_;
+        state->ppep = shared_ppep_;
     } else if (models_) {
-        state->models = std::move(*models_);
+        state->owned_models = std::move(*models_);
     } else if (needs_models) {
         const auto combos =
             training_combos_ ? *training_combos_
                              : workloads::singleProgramCombinations();
         if (store_) {
-            state->models = store_->trainOrLoad(
+            state->owned_models = store_->trainOrLoad(
                 state->cfg, training_seed_, combos,
                 &state->was_cached);
         } else {
             model::Trainer trainer(state->cfg, training_seed_);
-            state->models = trainer.trainAll(combos);
+            state->owned_models = trainer.trainAll(combos);
         }
     }
-    if (state->models)
-        state->ppep.emplace(state->cfg, state->models->chip,
-                            state->models->pg);
+    if (state->owned_models) {
+        state->owned_ppep.emplace(state->cfg, state->owned_models->chip,
+                                  state->owned_models->pg);
+        state->models = &*state->owned_models;
+        state->ppep = &*state->owned_ppep;
+    }
 
     // Chip + jobs.
     state->pg = pg_;
     state->chip.emplace(state->cfg, chip_seed_);
     state->chip->setPowerGatingEnabled(pg_);
-    if (combo_)
-        workloads::launch(*state->chip, *combo_, combo_looping_);
     for (const auto &j : jobs_) {
         const auto &profile = workloads::Suite::byName(j.program);
         state->chip->setJob(j.core, j.looping
@@ -335,16 +303,12 @@ Session::Builder::build()
     // models (the attributor rejects platforms without a trained PG
     // idle decomposition).
     if (!tenants_.empty()) {
-        const model::TrainedModels *m =
-            state->shared_models
-                ? state->shared_models
-                : (state->models ? &*state->models : nullptr);
-        if (!m)
+        if (!state->models)
             PPEP_FATAL("tenant attribution requires trained models; "
                        "give the session models, a store, or "
                        "sharedModels()");
-        state->attributor.emplace(state->cfg, m->dynamic, m->pg,
-                                  std::move(tenants_));
+        state->attributor.emplace(state->cfg, state->models->dynamic,
+                                  state->models->pg, std::move(tenants_));
         state->attribution = state->attributor->makeAttribution();
         for (const auto &spec : state->attributor->specs()) {
             state->tenant_names.push_back(spec.name);
@@ -365,15 +329,10 @@ Session::Builder::build()
     } else {
         const GovernorFactory factory =
             factory_ ? factory_ : edpGovernor();
-        PPEP_ASSERT((state->models && state->ppep) ||
-                        (state->shared_models && state->shared_ppep),
+        PPEP_ASSERT(state->models && state->ppep,
                     "governor factory requires trained models");
-        const ModelContext ctx{
-            state->cfg,
-            state->shared_models ? *state->shared_models
-                                 : *state->models,
-            state->shared_ppep ? *state->shared_ppep : *state->ppep,
-            training_seed_};
+        const ModelContext ctx{state->cfg, *state->models, *state->ppep,
+                               training_seed_};
         state->owned_gov = factory(ctx);
         PPEP_ASSERT(state->owned_gov != nullptr,
                     "governor factory returned null");
@@ -383,7 +342,6 @@ Session::Builder::build()
     // Hardened acquisition: faults on the chip, the Sampler in the
     // loop, the HealthMonitor scoring every interval, and the
     // degraded-mode wrapper gating the policy on its verdict.
-    state->hardened = hardened_;
     if (plan_) {
         // Decorrelate from the chip's own noise streams by default,
         // but keep the derivation a pure function of the chip seed.
@@ -392,9 +350,9 @@ Session::Builder::build()
                         : chip_seed_ ^ 0x9E3779B97F4A7C15ULL;
         state->chip->setFaultPlan(*plan_, fseed);
     }
-    if (hardened_) {
-        state->sampler.emplace(*state->chip, sampler_policy_);
-        state->monitor.emplace(health_policy_);
+    if (plan_ || recal_policy_) {
+        state->sampler.emplace(*state->chip);
+        state->monitor.emplace();
         State *st = state.get();
         // The probe runs at the top of every decide(), when the
         // wrapper's lastPredictedPower() is still the forecast made
@@ -411,8 +369,7 @@ Session::Builder::build()
                         st->degraded_gov->lastPredictedPower(),
                         rec.sensor_power_w);
                     return st->monitor->degraded();
-                },
-                safe_policy_);
+                });
         state->gov = state->degraded_gov.get();
     }
 
@@ -423,11 +380,7 @@ Session::Builder::build()
         PPEP_ASSERT(external_gov_ == nullptr,
                     "recalibration rebuilds the governor from its "
                     "factory; it cannot manage an external policy");
-        const model::TrainedModels *gen0 =
-            state->shared_models ? state->shared_models
-                                 : (state->models ? &*state->models
-                                                  : nullptr);
-        PPEP_ASSERT(gen0 != nullptr,
+        PPEP_ASSERT(state->models != nullptr,
                     "recalibration requires trained models");
         const GovernorFactory factory =
             factory_ ? factory_ : edpGovernor();
@@ -439,7 +392,7 @@ Session::Builder::build()
                 return factory(ModelContext{cfg, m, p, tseed});
             };
         state->recal = std::make_unique<Recalibrator>(
-            state->cfg, *gen0, std::move(rebuild), training_seed_,
+            state->cfg, *state->models, std::move(rebuild), training_seed_,
             *recal_policy_);
         if (store_)
             state->lineage_store = *store_;
@@ -657,15 +610,12 @@ Session::config() const
 bool
 Session::hasModels() const
 {
-    return state_->models.has_value() ||
-           state_->shared_models != nullptr;
+    return state_->models != nullptr;
 }
 
 const model::TrainedModels &
 Session::models() const
 {
-    if (state_->shared_models)
-        return *state_->shared_models;
     if (!state_->models)
         PPEP_FATAL("this session trained no models");
     return *state_->models;
@@ -674,8 +624,6 @@ Session::models() const
 const model::Ppep &
 Session::ppep() const
 {
-    if (state_->shared_ppep)
-        return *state_->shared_ppep;
     if (!state_->ppep)
         PPEP_FATAL("this session trained no models");
     return *state_->ppep;
@@ -696,7 +644,7 @@ Session::modelsWereCached() const
 bool
 Session::hardened() const
 {
-    return state_->hardened;
+    return state_->sampler.has_value();
 }
 
 const Sampler *

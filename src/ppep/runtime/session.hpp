@@ -114,10 +114,6 @@ class Session
          */
         Builder &onePerCu(const std::vector<std::string> &programs);
 
-        /** Place one of the 152 benchmark combinations. */
-        Builder &combo(const workloads::Combination &c,
-                       bool looping = true);
-
         /**
          * Training set for model acquisition (default: all 49
          * single-program combinations).
@@ -174,23 +170,15 @@ class Session
          * Install a hardware fault plan on the chip and switch the
          * run onto the hardened path: Sampler acquisition,
          * HealthMonitor accounting, and a degraded-mode wrapper
-         * around the policy. An all-zero plan exercises the hardened
-         * path against perfect hardware.
+         * around the policy, each with its default policy. An
+         * all-zero plan exercises the hardened path against perfect
+         * hardware.
          */
         Builder &faults(const sim::FaultPlan &plan);
 
         /** Seed for the fault decision stream (default: derived from
          *  the chip seed, so runs stay reproducible). */
         Builder &faultSeed(std::uint64_t s);
-
-        /** Hardened-acquisition tuning (implies the hardened path). */
-        Builder &samplerPolicy(const SamplerPolicy &p);
-
-        /** Demotion/re-promotion thresholds (implies hardened path). */
-        Builder &healthPolicy(const HealthPolicy &p);
-
-        /** Degraded-mode safe-policy tuning (implies hardened path). */
-        Builder &safePolicy(const ppep::governor::SafePolicy &p);
 
         /**
          * Drive the session from a recorded interval stream instead of
@@ -227,8 +215,6 @@ class Session
         std::uint64_t training_seed_ = 42;
         bool pg_ = false;
         std::vector<JobSpec> jobs_;
-        const workloads::Combination *combo_ = nullptr;
-        bool combo_looping_ = true;
         std::optional<std::vector<const workloads::Combination *>>
             training_combos_;
         std::optional<ModelStore> store_;
@@ -243,11 +229,7 @@ class Session
         std::vector<TenantSpec> tenants_;
         std::optional<sim::FaultPlan> plan_;
         std::optional<std::uint64_t> fault_seed_;
-        SamplerPolicy sampler_policy_;
-        HealthPolicy health_policy_;
-        ppep::governor::SafePolicy safe_policy_;
         std::optional<RecalibrationPolicy> recal_policy_;
-        bool hardened_ = false;
         trace::ReplaySource *replay_ = nullptr;
     };
 
@@ -293,7 +275,8 @@ class Session
     /** True when build() served the models from the store's cache. */
     bool modelsWereCached() const;
 
-    /** True when this session runs the hardened acquisition path. */
+    /** True when this session runs the hardened acquisition path:
+     *  it was built with faults() or recalibration(). */
     bool hardened() const;
 
     /** Hardened sampler; nullptr on plain sessions. */

@@ -41,33 +41,57 @@ coreIps(const trace::IntervalRecord &rec, std::size_t c)
 
 } // namespace
 
-// --- CsvSink -------------------------------------------------------------
+// --- StreamSink ----------------------------------------------------------
 
-CsvSink::CsvSink(std::ostream &out) : out_(&out) {}
+StreamSink::StreamSink(std::ostream &out, const char *format)
+    : format_(format), out_(&out)
+{
+}
 
-CsvSink::CsvSink(const std::string &path)
-    : owned_(openFile(path)), path_(path)
+StreamSink::StreamSink(const std::string &path, const char *format)
+    : format_(format), owned_(openFile(path)), path_(path)
 {
     out_ = owned_.get();
 }
 
-CsvSink::~CsvSink() = default;
+StreamSink::~StreamSink() = default;
 
-std::ostream &
-CsvSink::stream()
+void
+StreamSink::writeRow()
 {
-    return *out_;
+    out_->write(row_.data(), static_cast<std::streamsize>(row_.size()));
+    checkStream();
 }
 
 void
-CsvSink::checkStream()
+StreamSink::checkStream()
 {
     if (failed_ || *out_)
         return;
     failed_ = true;
-    error_ = "csv telemetry write failed" +
+    error_ = std::string(format_) + " telemetry write failed" +
              (path_.empty() ? std::string() : " ('" + path_ + "')");
 }
+
+void
+StreamSink::flush()
+{
+    out_->flush();
+    checkStream();
+}
+
+void
+StreamSink::close()
+{
+    auto *f = dynamic_cast<std::ofstream *>(owned_.get());
+    if (f && !f->is_open())
+        return; // already closed
+    flush();
+    if (f)
+        f->close();
+}
+
+// --- CsvSink -------------------------------------------------------------
 
 void
 CsvSink::onInterval(const IntervalTelemetry &t)
@@ -110,8 +134,7 @@ CsvSink::onInterval(const IntervalTelemetry &t)
     // round-trip doubles, no locale, no per-cell allocation), then
     // hand the stream one write.
     encodeRow(t);
-    os.write(row_.data(), static_cast<std::streamsize>(row_.size()));
-    checkStream();
+    writeRow();
 }
 
 void
@@ -185,59 +208,13 @@ CsvSink::encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING
     row.append('\n');
 }
 
-void
-CsvSink::finish()
-{
-    stream().flush();
-    checkStream();
-}
-
-void
-CsvSink::flush()
-{
-    stream().flush();
-    checkStream();
-}
-
-void
-CsvSink::close()
-{
-    auto *f = dynamic_cast<std::ofstream *>(owned_.get());
-    if (f && !f->is_open())
-        return; // already closed
-    flush();
-    if (f)
-        f->close();
-}
-
 // --- JsonlSink -----------------------------------------------------------
-
-JsonlSink::JsonlSink(std::ostream &out) : out_(&out) {}
-
-JsonlSink::JsonlSink(const std::string &path)
-    : owned_(openFile(path)), path_(path)
-{
-    out_ = owned_.get();
-}
-
-JsonlSink::~JsonlSink() = default;
-
-void
-JsonlSink::checkStream()
-{
-    if (failed_ || *out_)
-        return;
-    failed_ = true;
-    error_ = "jsonl telemetry write failed" +
-             (path_.empty() ? std::string() : " ('" + path_ + "')");
-}
 
 void
 JsonlSink::onInterval(const IntervalTelemetry &t)
 {
     encodeRow(t);
-    out_->write(row_.data(), static_cast<std::streamsize>(row_.size()));
-    checkStream();
+    writeRow();
 }
 
 void
@@ -324,31 +301,6 @@ JsonlSink::encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING
         row.appendJsonDouble(a.chip_total_w);
     }
     row.append(std::string_view{"}\n"});
-}
-
-void
-JsonlSink::finish()
-{
-    out_->flush();
-    checkStream();
-}
-
-void
-JsonlSink::flush()
-{
-    out_->flush();
-    checkStream();
-}
-
-void
-JsonlSink::close()
-{
-    auto *f = dynamic_cast<std::ofstream *>(owned_.get());
-    if (f && !f->is_open())
-        return; // already closed
-    flush();
-    if (f)
-        f->close();
 }
 
 // --- DigestSink ----------------------------------------------------------

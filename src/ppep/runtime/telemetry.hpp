@@ -151,69 +151,85 @@ class TelemetrySink
     virtual std::string error() const { return {}; }
 };
 
-/** Comma-separated trace, one row per interval, header on first row. */
-class CsvSink : public TelemetrySink
+/**
+ * The stream lifecycle CsvSink and JsonlSink share: a caller-owned or
+ * owned file stream, flush and close, and the sticky write failure. A
+ * subclass encodes each interval into row_ and hands it to writeRow().
+ */
+class StreamSink : public TelemetrySink
 {
   public:
-    /** Write to a caller-owned stream (kept open). */
-    explicit CsvSink(std::ostream &out);
+    ~StreamSink() override;
 
-    /** Write to a file; fatal() when it cannot be opened. */
-    explicit CsvSink(const std::string &path);
-
-    ~CsvSink() override;
-
-    void onInterval(const IntervalTelemetry &t) override;
-    void finish() override;
+    void finish() override { flush(); }
     void flush() override;
     void close() override;
     bool failed() const override { return failed_; }
     std::string error() const override { return error_; }
 
-  private:
-    std::ostream &stream();
-    void checkStream();
-    /** Encode one row into row_ (no stream I/O, no allocation warm). */
-    void encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING;
+  protected:
+    /** Write to a caller-owned stream (kept open). @p format names the
+     *  sink in its error text. */
+    StreamSink(std::ostream &out, const char *format);
 
+    /** Write to a file; fatal() when it cannot be opened. */
+    StreamSink(const std::string &path, const char *format);
+
+    std::ostream &stream() { return *out_; }
+
+    /** Hand row_ to the stream in one write, then check the stream. */
+    void writeRow();
+
+    util::fmt::RowBuffer row_;
+
+  private:
+    void checkStream();
+
+    const char *format_;
     std::ostream *out_ = nullptr;
     std::unique_ptr<std::ostream> owned_;
     std::string path_;
-    util::fmt::RowBuffer row_;
-    bool header_written_ = false;
-    bool with_health_ = false;
-    bool with_recal_ = false;
-    bool with_tenants_ = false;
     bool failed_ = false;
     std::string error_;
 };
 
-/** JSON-lines trace: one self-contained JSON object per interval. */
-class JsonlSink : public TelemetrySink
+/** Comma-separated trace, one row per interval, header on first row. */
+class CsvSink : public StreamSink
 {
   public:
-    explicit JsonlSink(std::ostream &out);
-    explicit JsonlSink(const std::string &path);
-    ~JsonlSink() override;
+    /** Write to a caller-owned stream (kept open). */
+    explicit CsvSink(std::ostream &out) : StreamSink(out, "csv") {}
+
+    /** Write to a file; fatal() when it cannot be opened. */
+    explicit CsvSink(const std::string &path) : StreamSink(path, "csv") {}
 
     void onInterval(const IntervalTelemetry &t) override;
-    void finish() override;
-    void flush() override;
-    void close() override;
-    bool failed() const override { return failed_; }
-    std::string error() const override { return error_; }
 
   private:
-    void checkStream();
-    /** Encode one object into row_ (no stream I/O, no allocation warm). */
+    /** Encode one row into row_ (no stream I/O, no allocation warm). */
     void encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING;
 
-    std::ostream *out_ = nullptr;
-    std::unique_ptr<std::ostream> owned_;
-    std::string path_;
-    util::fmt::RowBuffer row_;
-    bool failed_ = false;
-    std::string error_;
+    bool header_written_ = false;
+    bool with_health_ = false;
+    bool with_recal_ = false;
+    bool with_tenants_ = false;
+};
+
+/** JSON-lines trace: one self-contained JSON object per interval. */
+class JsonlSink : public StreamSink
+{
+  public:
+    explicit JsonlSink(std::ostream &out) : StreamSink(out, "jsonl") {}
+    explicit JsonlSink(const std::string &path)
+        : StreamSink(path, "jsonl")
+    {
+    }
+
+    void onInterval(const IntervalTelemetry &t) override;
+
+  private:
+    /** Encode one object into row_ (no stream I/O, no allocation warm). */
+    void encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING;
 };
 
 /**

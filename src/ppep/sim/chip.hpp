@@ -112,9 +112,6 @@ class Chip
     /** Enable/disable power gating (the paper's BIOS switch). */
     void setPowerGatingEnabled(bool enabled);
 
-    /** Whether power gating is enabled. */
-    bool powerGatingEnabled() const { return pg_enabled_; }
-
     /** Set the NB operating point (Sec. V-C2 what-if). */
     void setNbVf(const VfState &vf) PPEP_NONBLOCKING { nb_.setVf(vf); }
 
@@ -171,9 +168,6 @@ class Chip
      * valid, and is overwritten by the next tick.
      */
     const TickResult &tick() PPEP_NONBLOCKING;
-
-    /** tick() into a copy the caller keeps (tests, scenario setup). */
-    TickResult step() { return tick(); }
 
     /** Advance @p n ticks, discarding results (warm-up helper). */
     void run(std::size_t n);

@@ -65,22 +65,6 @@ HwPowerModel::nbStaticPower(const VfState &nb_vf, double temp_k) const PPEP_NONB
     return leak + clock;
 }
 
-PowerBreakdown
-HwPowerModel::compute(const std::vector<CorePowerInput> &cores,
-                      const std::vector<bool> &cu_gated, bool nb_gated,
-                      const std::vector<double> &cu_voltage,
-                      const std::vector<double> &cu_freq_ghz,
-                      const VfState &nb_vf, double temp_k,
-                      double dt_s) const
-{
-    PowerBreakdown out;
-    out.cu_idle.resize(cfg_.n_cus);
-    out.core_dynamic.resize(cores.size());
-    computeInto(cores, cu_gated, nb_gated, cu_voltage, cu_freq_ghz,
-                nb_vf, temp_k, dt_s, out);
-    return out;
-}
-
 void
 HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
                           const std::vector<bool> &cu_gated,

@@ -68,7 +68,10 @@ class HwPowerModel
     explicit HwPowerModel(const ChipConfig &cfg);
 
     /**
-     * Compute the chip's true power for one tick.
+     * Compute the chip's true power for one tick into a caller-owned
+     * breakdown whose cu_idle and core_dynamic vectors are already
+     * sized one per CU and one per core — the allocation-free per-tick
+     * path.
      *
      * @param cores       one entry per core, in core-id order.
      * @param cu_gated    per-CU power-gate state.
@@ -79,18 +82,7 @@ class HwPowerModel
      * @param nb_vf       NB operating point.
      * @param temp_k      junction temperature.
      * @param dt_s        tick length (converts event counts to rates).
-     */
-    PowerBreakdown compute(const std::vector<CorePowerInput> &cores,
-                           const std::vector<bool> &cu_gated, bool nb_gated,
-                           const std::vector<double> &cu_voltage,
-                           const std::vector<double> &cu_freq_ghz,
-                           const VfState &nb_vf, double temp_k,
-                           double dt_s) const;
-
-    /**
-     * compute() into a caller-owned breakdown whose cu_idle and
-     * core_dynamic vectors are already sized one per CU and one per
-     * core — the allocation-free per-tick path.
+     * @param out         the result, sized as above.
      */
     void computeInto(const std::vector<CorePowerInput> &cores,
                      const std::vector<bool> &cu_gated, bool nb_gated,

@@ -37,15 +37,6 @@ NorthBridge::coreLatencyNs(double l3_miss_rate, double queue_factor) const PPEP_
            dramLatencyNs() * queue_factor * l3_miss_rate;
 }
 
-NbResolution
-NorthBridge::resolve(const std::vector<CoreDemand> &demands) const
-{
-    NbResolution res;
-    res.mem_lat_ns.resize(demands.size());
-    resolveInto(demands, res);
-    return res;
-}
-
 namespace {
 
 /** Most demand evaluations one solve may take (bisection alone needs ~50). */

@@ -88,7 +88,9 @@ class NorthBridge
     /**
      * Resolve the contention fixed point for one tick: given every busy
      * core's demand, find mutually consistent per-core latencies and the
-     * resulting DRAM utilisation.
+     * resulting DRAM utilisation. Writes the first demands.size()
+     * entries of @p res's latency buffer, which the caller sizes at
+     * least that long — the allocation-free per-tick path.
      *
      * Returns u = min(root of rho(u) = u, max_utilization), with
      * queue_factor = 1/(1 - u) and mem_lat_ns priced at u. If
@@ -100,13 +102,6 @@ class NorthBridge
      * The solve stops once a step moves u by at most 1e-15 relative
      * and reports the last point it evaluated, about 7 passes over the
      * busy cores on the fleet workloads.
-     */
-    NbResolution resolve(const std::vector<CoreDemand> &demands) const;
-
-    /**
-     * resolve() into a caller-owned result, writing the first
-     * demands.size() entries of its latency buffer, which the caller
-     * sizes at least that long — the allocation-free per-tick path.
      */
     void resolveInto(std::span<const CoreDemand> demands,
                      NbResolution &res) const PPEP_NONBLOCKING;

@@ -81,7 +81,7 @@ TEST(Ppep, SelfPredictionMatchesSensor)
     const auto &s = SharedModels::get();
     Ppep ppep(s.cfg, s.models.chip, s.models.pg);
     const auto rec = measure("462.libquantum", 2, 4);
-    const auto pred = ppep.predictVf(rec, 4);
+    const auto pred = ppep.explore(rec)[4];
     EXPECT_NEAR(pred.chip_power_w / rec.sensor_power_w, 1.0, 0.10);
 }
 
@@ -92,7 +92,7 @@ TEST(Ppep, CrossVfPredictionMatchesActualRun)
     const auto &s = SharedModels::get();
     Ppep ppep(s.cfg, s.models.chip, s.models.pg);
     for (const char *prog : {"433.milc", "458.sjeng", "canneal"}) {
-        const auto pred = ppep.predictVf(measure(prog, 2, 4), 1);
+        const auto pred = ppep.explore(measure(prog, 2, 4))[1];
         const auto actual = measure(prog, 2, 1);
         EXPECT_NEAR(pred.chip_power_w / actual.sensor_power_w, 1.0,
                     0.15)
@@ -117,7 +117,7 @@ TEST(Ppep, IdleCoresPredictIdle)
     const auto &s = SharedModels::get();
     Ppep ppep(s.cfg, s.models.chip, s.models.pg);
     const auto rec = measure("456.hmmer", 1, 4);
-    const auto pred = ppep.predictVf(rec, 2);
+    const auto pred = ppep.explore(rec)[2];
     std::size_t busy = 0;
     for (const auto &core : pred.cores)
         busy += core.busy;

@@ -108,7 +108,7 @@ TEST(Boost, GrantedBoostRaisesThroughputAndPower)
         chip.setCuVf(0, vf_request);
         double inst = 0.0, power = 0.0;
         for (int i = 0; i < 20; ++i) {
-            const auto r = chip.step();
+            const auto &r = chip.tick();
             inst += r.truth.activity[0].instructions;
             power += r.truth.power.total;
         }

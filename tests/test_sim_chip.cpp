@@ -15,7 +15,7 @@ using namespace ppep::sim;
 TEST(Chip, IdleChipDrawsStaticPowerOnly)
 {
     Chip chip(fx8320Config(), 1);
-    const auto r = chip.step();
+    const auto &r = chip.tick();
     EXPECT_DOUBLE_EQ(r.truth.power.coreDynamicTotal(), 0.0);
     EXPECT_GT(r.truth.power.total, 15.0);
     EXPECT_GT(r.sensor_power_w, 10.0);
@@ -25,7 +25,7 @@ TEST(Chip, BusyCoreProducesEventsAndDynamicPower)
 {
     Chip chip(fx8320Config(), 1);
     chip.setJob(0, ppep::workloads::makeBenchA());
-    const auto r = chip.step();
+    const auto &r = chip.tick();
     EXPECT_GT(r.truth.activity[0].instructions, 1e6);
     EXPECT_GT(r.truth.power.core_dynamic[0], 0.5);
     EXPECT_DOUBLE_EQ(r.truth.power.core_dynamic[1], 0.0);
@@ -38,7 +38,7 @@ TEST(Chip, DeterministicForSameSeed)
         chip.setJob(0, ppep::workloads::makeHeater());
         std::vector<double> powers;
         for (int i = 0; i < 50; ++i)
-            powers.push_back(chip.step().sensor_power_w);
+            powers.push_back(chip.tick().sensor_power_w);
         return powers;
     };
     EXPECT_EQ(run(42), run(42));
@@ -52,10 +52,10 @@ TEST(Chip, JobFinishesAndCoreGoesIdle)
     p.inst_count = 5e6; // far less than one tick of work
     chip.setJob(0, std::make_unique<Job>("tiny",
                                          std::vector<Phase>{p}));
-    const auto r1 = chip.step();
+    const TickResult r1 = chip.tick();
     EXPECT_NEAR(r1.truth.activity[0].instructions, 5e6, 1.0);
     EXPECT_TRUE(chip.job(0)->finished());
-    const auto r2 = chip.step();
+    const TickResult r2 = chip.tick();
     EXPECT_DOUBLE_EQ(r2.truth.activity[0].instructions, 0.0);
 }
 
@@ -65,7 +65,7 @@ TEST(Chip, PowerGatingGatesIdleCus)
     Chip chip(cfg, 1);
     chip.setPowerGatingEnabled(true);
     chip.setJob(0, ppep::workloads::makeBenchA()); // CU0 busy
-    const auto r = chip.step();
+    const auto &r = chip.tick();
     EXPECT_FALSE(r.truth.cu_gated[0]);
     EXPECT_TRUE(r.truth.cu_gated[1]);
     EXPECT_TRUE(r.truth.cu_gated[2]);
@@ -77,7 +77,7 @@ TEST(Chip, FullyIdleGatedChipGatesNb)
 {
     Chip chip(fx8320Config(), 1);
     chip.setPowerGatingEnabled(true);
-    const auto r = chip.step();
+    const auto &r = chip.tick();
     EXPECT_TRUE(r.truth.nb_gated);
     // Only base power (+ residuals) remains.
     EXPECT_LT(r.truth.power.total, 10.0);
@@ -91,8 +91,8 @@ TEST(Chip, GatingReducesPower)
     open.setJob(0, ppep::workloads::makeBenchA());
     double p_gated = 0.0, p_open = 0.0;
     for (int i = 0; i < 20; ++i) {
-        p_gated += gated.step().truth.power.total;
-        p_open += open.step().truth.power.total;
+        p_gated += gated.tick().truth.power.total;
+        p_open += open.tick().truth.power.total;
     }
     EXPECT_LT(p_gated, p_open - 20.0 * 5.0); // >=5 W apart on average
 }
@@ -142,7 +142,7 @@ TEST(Chip, LowerVfLowersPowerAndThroughput)
             chip.setJob(c, ppep::workloads::makeHeater());
         double power = 0.0, inst = 0.0;
         for (int i = 0; i < 25; ++i) {
-            const auto r = chip.step();
+            const auto &r = chip.tick();
             power += r.truth.power.total;
             for (const auto &a : r.truth.activity)
                 inst += a.instructions;
@@ -171,7 +171,7 @@ TEST(Chip, PmcReadMatchesOracleForSteadyLoad)
     chip.setJob(0, ppep::workloads::makeBenchA());
     EventVector oracle{};
     for (int t = 0; t < 10; ++t) {
-        const auto r = chip.step();
+        const auto &r = chip.tick();
         for (std::size_t e = 0; e < kNumEvents; ++e)
             oracle[e] += r.truth.activity[0].events[e];
     }
@@ -209,7 +209,7 @@ TEST(Chip, MemoryBoundJobSlowerThanCpuBound)
                            std::vector<Phase>{p}, true));
         double inst = 0.0;
         for (int i = 0; i < 20; ++i)
-            inst += chip.step().truth.activity[0].instructions;
+            inst += chip.tick().truth.activity[0].instructions;
         return inst;
     };
     EXPECT_GT(ips_of(false), 1.5 * ips_of(true));

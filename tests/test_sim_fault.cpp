@@ -157,7 +157,7 @@ TEST(FaultChip, MsrReadFailuresMakeTryReadPmcFail)
     auto chip = busyChip();
     chip.setFaultPlan(FaultPlan::parse("msr=1"), 1);
     for (int t = 0; t < 10; ++t)
-        chip.step();
+        chip.tick();
     sim::EventVector out{};
     EXPECT_FALSE(chip.tryReadPmc(0, out));
     // The multiplexer keeps accumulating across the failed read, so a
@@ -171,8 +171,8 @@ TEST(FaultChip, TryReadPmcMatchesReadPmcWithoutFaults)
     auto a = busyChip();
     auto b = busyChip();
     for (int t = 0; t < 10; ++t) {
-        a.step();
-        b.step();
+        a.tick();
+        b.tick();
     }
     sim::EventVector got{};
     ASSERT_TRUE(a.tryReadPmc(2, got));
@@ -201,10 +201,10 @@ TEST(FaultChip, DelayedVfWriteLandsAfterConfiguredTicks)
     chip.setCuVf(0, target);
     EXPECT_EQ(chip.cuVf(0), before); // not yet applied
     for (int t = 0; t < 3; ++t) {
-        chip.step();
+        chip.tick();
         EXPECT_EQ(chip.cuVf(0), before); // counting down
     }
-    chip.step();
+    chip.tick();
     EXPECT_EQ(chip.cuVf(0), target); // latency expired, write landed
     EXPECT_GT(chip.faultInjector()->counters().vf_delays, 0u);
 }
@@ -213,7 +213,7 @@ TEST(FaultChip, SensorDropoutReadsNaN)
 {
     auto chip = busyChip();
     chip.setFaultPlan(FaultPlan::parse("sensor_drop=1"), 1);
-    const auto tick = chip.step();
+    const auto &tick = chip.tick();
     EXPECT_TRUE(std::isnan(tick.sensor_power_w));
     EXPECT_TRUE(std::isfinite(tick.truth.power.total)); // truth intact
 }
@@ -223,9 +223,9 @@ TEST(FaultChip, StuckDiodeHoldsItsReading)
     auto chip = busyChip();
     chip.setFaultPlan(
         FaultPlan::parse("diode_stuck=1,diode_stuck_ticks=5"), 1);
-    const double first = chip.step().diode_temp_k;
+    const double first = chip.tick().diode_temp_k;
     for (int t = 0; t < 5; ++t)
-        EXPECT_DOUBLE_EQ(chip.step().diode_temp_k, first);
+        EXPECT_DOUBLE_EQ(chip.tick().diode_temp_k, first);
     EXPECT_EQ(chip.faultInjector()->counters().diode_stuck_ticks, 5u);
 }
 
@@ -233,7 +233,7 @@ TEST(FaultChip, DiodeDropoutReadsZeroKelvin)
 {
     auto chip = busyChip();
     chip.setFaultPlan(FaultPlan::parse("diode_drop=1"), 1);
-    EXPECT_DOUBLE_EQ(chip.step().diode_temp_k, 0.0);
+    EXPECT_DOUBLE_EQ(chip.tick().diode_temp_k, 0.0);
 }
 
 TEST(FaultChip, SaturatedSlotReadsFullScale)
@@ -241,7 +241,7 @@ TEST(FaultChip, SaturatedSlotReadsFullScale)
     auto chip = busyChip();
     chip.setFaultPlan(FaultPlan::parse("wrap=16,saturate=1"), 1);
     for (int t = 0; t < 10; ++t)
-        chip.step();
+        chip.tick();
     EXPECT_GT(chip.faultInjector()->counters().pmc_slot_saturations,
               0u);
     // Saturated slots at full scale are exactly the corruption the
@@ -257,7 +257,7 @@ TEST(FaultChip, WrapBitsBoundTheCounters)
     auto chip = busyChip();
     chip.setFaultPlan(FaultPlan::parse("wrap=16"), 1);
     for (int t = 0; t < 10; ++t)
-        chip.step();
+        chip.tick();
     EXPECT_GT(chip.pmcWrapEvents(), 0u); // cycles wrap a 16-bit counter
 }
 

@@ -9,6 +9,7 @@
 
 #include "ppep/sim/core_model.hpp"
 #include "ppep/sim/hw_power_model.hpp"
+#include "sized_results.hpp"
 
 namespace {
 
@@ -44,8 +45,9 @@ struct Fixture
         const std::vector<bool> gated(cfg.n_cus, pg_all);
         const std::vector<double> volts(cfg.n_cus, voltage);
         const std::vector<double> freqs(cfg.n_cus, freq);
-        return model.compute(inputs(voltage, freq), gated, pg_all, volts,
-                             freqs, cfg.nb.vf_hi, temp, 0.02);
+        return ppep::test::computePower(model, inputs(voltage, freq),
+                                        gated, pg_all, volts, freqs,
+                                        cfg.nb.vf_hi, temp, 0.02);
     }
 
     /** Give core @p c a busy tick of realistically proportioned
@@ -161,11 +163,13 @@ TEST(HwPower, ActivityFactorScalesCoreDynamic)
     const std::vector<bool> gated(f.cfg.n_cus, false);
     const std::vector<double> volts(f.cfg.n_cus, 1.32);
     const std::vector<double> freqs(f.cfg.n_cus, 3.5);
-    const auto nominal = f.model.compute(in, gated, false, volts, freqs,
-                                         f.cfg.nb.vf_hi, 320.0, 0.02);
+    const auto nominal = ppep::test::computePower(
+        f.model, in, gated, false, volts, freqs, f.cfg.nb.vf_hi, 320.0,
+        0.02);
     in[0].activity_factor = 1.10;
-    const auto hot = f.model.compute(in, gated, false, volts, freqs,
-                                     f.cfg.nb.vf_hi, 320.0, 0.02);
+    const auto hot = ppep::test::computePower(
+        f.model, in, gated, false, volts, freqs, f.cfg.nb.vf_hi, 320.0,
+        0.02);
     EXPECT_NEAR(hot.core_dynamic[0] / nominal.core_dynamic[0], 1.10,
                 1e-9);
 }
@@ -188,12 +192,12 @@ TEST(HwPower, NbDynamicQuadraticInNbVoltage)
     const std::vector<bool> gated(f.cfg.n_cus, false);
     const std::vector<double> volts(f.cfg.n_cus, 1.32);
     const std::vector<double> freqs(f.cfg.n_cus, 3.5);
-    const auto hi =
-        f.model.compute(f.inputs(1.32, 3.5), gated, false, volts, freqs,
-                        f.cfg.nb.vf_hi, 320.0, 0.02);
-    const auto lo =
-        f.model.compute(f.inputs(1.32, 3.5), gated, false, volts, freqs,
-                        f.cfg.nb.vf_lo, 320.0, 0.02);
+    const auto hi = ppep::test::computePower(
+        f.model, f.inputs(1.32, 3.5), gated, false, volts, freqs,
+        f.cfg.nb.vf_hi, 320.0, 0.02);
+    const auto lo = ppep::test::computePower(
+        f.model, f.inputs(1.32, 3.5), gated, false, volts, freqs,
+        f.cfg.nb.vf_lo, 320.0, 0.02);
     // The paper's what-if: 20% NB voltage drop -> -36% NB dynamic.
     EXPECT_NEAR(lo.nb_dynamic / hi.nb_dynamic, 0.64, 0.001);
 }
@@ -212,8 +216,9 @@ TEST(HwPower, PhenomConfigProducesSaneIdle)
     const std::vector<bool> gated(cfg.n_cus, false);
     const std::vector<double> volts(cfg.n_cus, 1.35);
     const std::vector<double> freqs(cfg.n_cus, 3.2);
-    const auto p = model.compute(in, gated, false, volts, freqs,
-                                 cfg.nb.vf_hi, 320.0, 0.02);
+    const auto p = ppep::test::computePower(model, in, gated, false, volts,
+                                            freqs, cfg.nb.vf_hi, 320.0,
+                                            0.02);
     EXPECT_GT(p.total, 15.0);
     EXPECT_LT(p.total, 70.0);
 }

@@ -24,6 +24,7 @@
 #include "nb_damped_oracle.hpp"
 #include "ppep/sim/northbridge.hpp"
 #include "ppep/util/rng.hpp"
+#include "sized_results.hpp"
 
 namespace {
 
@@ -138,7 +139,7 @@ TEST(NbSolver, MatchesDampedOracleWhereItConverged)
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         const Draw d = draw(seed);
         const NorthBridge nb = northBridge(d);
-        res = nb.resolve(d.demands);
+        res = ppep::test::resolveNb(nb, d.demands);
         if (!ppep::oracle::resolveDamped(d.cfg, nb, d.demands, ref))
             continue;
         ++converged;
@@ -165,7 +166,7 @@ TEST(NbSolver, SelfConsistentEverywhere)
     NbResolution res;
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         const Draw d = draw(seed);
-        res = northBridge(d).resolve(d.demands);
+        res = ppep::test::resolveNb(northBridge(d), d.demands);
         const double u_max = d.cfg.nb.max_utilization;
         ASSERT_EQ(res.mem_lat_ns.size(), d.demands.size()) << d.what;
         ASSERT_GE(res.utilization, 0.0) << d.what;
@@ -195,7 +196,7 @@ TEST(NbSolver, ConvergesInFewEvaluations)
     NbResolution res;
     for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
         const Draw d = draw(seed);
-        res = northBridge(d).resolve(d.demands);
+        res = ppep::test::resolveNb(northBridge(d), d.demands);
         if (d.demands.empty()) {
             EXPECT_EQ(res.evaluations, 0);
             continue;

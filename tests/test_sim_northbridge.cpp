@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "ppep/sim/northbridge.hpp"
+#include "sized_results.hpp"
 
 namespace {
 
@@ -72,7 +73,7 @@ TEST(NorthBridge, EmptyResolutionIsIdle)
 {
     const auto c = cfg();
     NorthBridge nb(c);
-    const auto res = nb.resolve({});
+    const auto res = ppep::test::resolveNb(nb, {});
     EXPECT_TRUE(res.mem_lat_ns.empty());
     EXPECT_DOUBLE_EQ(res.utilization, 0.0);
     EXPECT_DOUBLE_EQ(res.queue_factor, 1.0);
@@ -82,7 +83,7 @@ TEST(NorthBridge, SingleCoreLowUtilization)
 {
     const auto c = cfg();
     NorthBridge nb(c);
-    const auto res = nb.resolve({memDemand(c, 3.5)});
+    const auto res = ppep::test::resolveNb(nb, {memDemand(c, 3.5)});
     ASSERT_EQ(res.mem_lat_ns.size(), 1u);
     EXPECT_LT(res.utilization, 0.35);
     EXPECT_GT(res.queue_factor, 1.0);
@@ -93,9 +94,9 @@ TEST(NorthBridge, ContentionRaisesLatency)
 {
     const auto c = cfg();
     NorthBridge nb(c);
-    const auto solo = nb.resolve({memDemand(c, 3.5)});
+    const auto solo = ppep::test::resolveNb(nb, {memDemand(c, 3.5)});
     std::vector<CoreDemand> eight(8, memDemand(c, 3.5));
-    const auto crowd = nb.resolve(eight);
+    const auto crowd = ppep::test::resolveNb(nb, eight);
     EXPECT_GT(crowd.mem_lat_ns[0], solo.mem_lat_ns[0]);
     EXPECT_GT(crowd.utilization, solo.utilization);
 }
@@ -106,7 +107,7 @@ TEST(NorthBridge, UtilizationCapped)
     NorthBridge nb(c);
     // Absurd demand cannot exceed the configured cap.
     std::vector<CoreDemand> storm(8, memDemand(c, 3.5, 8.0));
-    const auto res = nb.resolve(storm);
+    const auto res = ppep::test::resolveNb(nb, storm);
     EXPECT_LE(res.utilization, c.nb.max_utilization + 1e-9);
     EXPECT_GE(res.queue_factor, 1.0);
 }
@@ -117,8 +118,8 @@ TEST(NorthBridge, LowerCoreFrequencyLowersPressure)
     NorthBridge nb(c);
     std::vector<CoreDemand> fast(4, memDemand(c, 3.5));
     std::vector<CoreDemand> slow(4, memDemand(c, 1.4));
-    EXPECT_GT(nb.resolve(fast).utilization,
-              nb.resolve(slow).utilization);
+    EXPECT_GT(ppep::test::resolveNb(nb, fast).utilization,
+              ppep::test::resolveNb(nb, slow).utilization);
 }
 
 TEST(NorthBridge, FixedPointSelfConsistent)
@@ -128,7 +129,7 @@ TEST(NorthBridge, FixedPointSelfConsistent)
     const auto c = cfg();
     NorthBridge nb(c);
     std::vector<CoreDemand> demands(6, memDemand(c, 2.9));
-    const auto res = nb.resolve(demands);
+    const auto res = ppep::test::resolveNb(nb, demands);
     double bytes = 0.0;
     for (std::size_t i = 0; i < demands.size(); ++i) {
         const double ips = CoreModel::instRate(
@@ -156,7 +157,7 @@ TEST(NorthBridge, StormClampsAtMaxUtilization)
     ppep::util::Rng rng(1);
     const CoreDemand d{CoreModel::effectiveRates(c, p, 3.5, rng), 3.5};
     std::vector<CoreDemand> storm(8, d);
-    const auto res = nb.resolve(storm);
+    const auto res = ppep::test::resolveNb(nb, storm);
     EXPECT_EQ(res.utilization, c.nb.max_utilization);
     EXPECT_EQ(res.queue_factor, 1.0 / (1.0 - c.nb.max_utilization));
     // Latencies are priced at the cap.
@@ -174,9 +175,9 @@ TEST(NorthBridge, NbLowFrequencyRaisesLatencyUnderLoad)
     const auto c = cfg();
     NorthBridge nb(c);
     std::vector<CoreDemand> demands(4, memDemand(c, 3.5));
-    const auto hi = nb.resolve(demands);
+    const auto hi = ppep::test::resolveNb(nb, demands);
     nb.setVf(c.nb.vf_lo);
-    const auto lo = nb.resolve(demands);
+    const auto lo = ppep::test::resolveNb(nb, demands);
     EXPECT_GT(lo.mem_lat_ns[0], hi.mem_lat_ns[0]);
 }
 
@@ -239,8 +240,8 @@ TEST_P(CrowdSweep, MonotoneLatency)
     const std::size_t n = GetParam();
     std::vector<CoreDemand> fewer(n, memDemand(c, 3.5));
     std::vector<CoreDemand> more(n + 1, memDemand(c, 3.5));
-    EXPECT_LE(nb.resolve(fewer).mem_lat_ns[0],
-              nb.resolve(more).mem_lat_ns[0] + 1e-9);
+    EXPECT_LE(ppep::test::resolveNb(nb, fewer).mem_lat_ns[0],
+              ppep::test::resolveNb(nb, more).mem_lat_ns[0] + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, CrowdSweep,

@@ -53,7 +53,7 @@ TEST(ThermalEstimator, SteadyStatePredictionMatchesSimulator)
     double power = 0.0;
     const int n = 20;
     for (int i = 0; i < n; ++i)
-        power += chip.step().truth.power.total;
+        power += chip.tick().truth.power.total;
     power /= n;
     EXPECT_NEAR(est.steadyState(power), chip.temperatureK(), 3.0);
 }

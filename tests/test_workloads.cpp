@@ -223,8 +223,8 @@ TEST(Microbench, HeaterBurnsMoreThanBenchA)
     }
     double p_hot = 0.0, p_mild = 0.0;
     for (int i = 0; i < 20; ++i) {
-        p_hot += hot.step().truth.power.coreDynamicTotal();
-        p_mild += mild.step().truth.power.coreDynamicTotal();
+        p_hot += hot.tick().truth.power.coreDynamicTotal();
+        p_mild += mild.tick().truth.power.coreDynamicTotal();
     }
     EXPECT_GT(p_hot, 1.3 * p_mild);
 }

@@ -86,7 +86,7 @@ TEST(Builder, CustomJobRunsOnChip)
     b.memoryIntensity(0.6).fpuPerInst(0.4).addPhase(5e8);
     ppep::sim::Chip chip(ppep::sim::fx8320Config(), 1);
     chip.setJob(0, b.makeJob());
-    const auto r = chip.step();
+    const auto &r = chip.tick();
     EXPECT_GT(r.truth.activity[0].instructions, 1e6);
     EXPECT_GT(r.truth.power.core_dynamic[0], 0.5);
 }

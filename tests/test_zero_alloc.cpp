@@ -411,7 +411,7 @@ TEST(ZeroAlloc, FreshChipFirstTickIsAllocationFree)
     fx.setPowerGatingEnabled(true);
     workloads::launch(fx, workloads::replicate("433.milc", 2), true);
     EXPECT_EQ(allocationsInFirstTick(fx), 0u) << "FX-8320, PG on";
-    EXPECT_TRUE(fx.step().truth.cu_gated.back());
+    EXPECT_TRUE(fx.tick().truth.cu_gated.back());
 
     sim::Chip phenom(sim::phenomIIConfig(), 5);
     workloads::launch(phenom, workloads::replicate("433.milc", 2), true);
