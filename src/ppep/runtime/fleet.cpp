@@ -1,19 +1,17 @@
 #include "ppep/runtime/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <exception>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string_view>
-#include <thread>
 
 #include "ppep/model/trainer.hpp"
 #include "ppep/util/logging.hpp"
+#include "ppep/util/parallel.hpp"
 #include "ppep/workloads/suite.hpp"
 
 namespace ppep::runtime {
@@ -46,24 +44,6 @@ captureFailure(FleetSessionResult &res, F &&f)
         res.error = "unknown exception";
     }
     return false;
-}
-
-/** Run work(w) for every w < @p workers, each on its own thread (or
- *  inline when there is one), and join them all. */
-template <typename Work>
-void
-runWorkers(std::size_t workers, const Work &work)
-{
-    if (workers == 1) {
-        work(std::size_t{0});
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(std::cref(work), w);
-    for (auto &th : pool)
-        th.join();
 }
 
 } // namespace
@@ -337,26 +317,15 @@ Fleet::run(std::size_t n_threads)
     if (spec_.arbiter)
         return runArbitrated(n_threads);
 
-    const std::size_t workers =
-        std::clamp<std::size_t>(n_threads, 1, n_sessions);
-
     FleetResult out;
-    out.sessions.resize(n_sessions);
     const auto t0 = clock::now();
 
-    // Workers pull indices from a shared counter; every result lands in
-    // its preallocated slot, so no two threads ever touch the same
-    // session, result, model, or chip. The shared Ppep/TrainedModels
-    // are read-only by the Session contract.
-    std::atomic<std::size_t> next{0};
-    runWorkers(workers, [&](std::size_t) {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= n_sessions)
-                return;
-            out.sessions[i] = runOne(i);
-        }
-    });
+    // Workers claim session indices in order and every result lands in
+    // its own slot, so no two threads ever touch the same session,
+    // result, model, or chip. The shared Ppep/TrainedModels are
+    // read-only by the Session contract.
+    out.sessions = util::parallelFor(
+        n_sessions, n_threads, [&](std::size_t i) { return runOne(i); });
 
     finalizeRun(out, secondsSince(t0));
     return out;
@@ -455,7 +424,7 @@ Fleet::runArbitrated(std::size_t n_threads)
         // session then decides under its allocation.
         std::barrier bar(static_cast<std::ptrdiff_t>(workers),
                          arbitrate);
-        runWorkers(workers, [&](std::size_t w) {
+        util::runWorkers(workers, [&](std::size_t w) {
             // Contiguous slice of the live sessions for this worker.
             const std::size_t lo = live.size() * w / workers;
             const std::size_t hi = live.size() * (w + 1) / workers;
