@@ -13,6 +13,13 @@
  * Every protocol builds its own fresh Chip instances, drives them only
  * through software-visible controls, and reads only the sensor, the
  * diode, and the PMCs — exactly the paper's measurement position.
+ *
+ * Each experiment seeds its chip from the trainer seed and its own
+ * stream id, so no experiment depends on another. The Trainer runs a
+ * protocol's experiments as one batch on the worker pool
+ * (util/parallel.hpp), one worker per hardware thread, and then fits
+ * on the caller in a fixed order: the models are byte-identical
+ * whatever the schedule.
  */
 
 #ifndef PPEP_MODEL_TRAINER_HPP
@@ -117,7 +124,7 @@ class Trainer
                             std::size_t vf_index,
                             std::size_t max_intervals = 120) const;
 
-    /** Cross product of combos and VF states. */
+    /** Cross product of combos and VF states, combo-major. */
     std::vector<ComboTrace>
     collectDataset(const std::vector<const workloads::Combination *> &combos,
                    const std::vector<std::size_t> &vf_indices,
@@ -142,12 +149,20 @@ class Trainer
      * optional @p dataset avoids re-collecting traces the caller already
      * has (entries whose combo is not in @p combos are ignored; top-VF
      * entries feed Eq. 3, all entries feed the GG baseline).
+     *
+     * Every experiment runs in one batch; each benchmark trace is cut
+     * down to its training rows inside its job, so no interval record
+     * outlives the job that made it.
      */
     TrainedModels
     trainAll(const std::vector<const workloads::Combination *> &combos,
              const std::vector<ComboTrace> *dataset = nullptr) const;
 
   private:
+    /** The independent experiments of one protocol run, with their
+     *  result slots (defined in trainer.cpp). */
+    class Batch;
+
     /** Deterministic chip for a named sub-experiment. */
     sim::Chip makeChip(std::uint64_t stream) const;
 
