@@ -7,7 +7,8 @@
  *
  * Modes:
  *   bench_explore                 full run, writes BENCH_explore.json
- *   bench_explore --quick         shorter timed sections (CI smoke)
+ *   bench_explore --quick         fewer, shorter timed sections (CI
+ *                                 smoke)
  *   bench_explore --check FILE    compare against a committed baseline
  *                                 instead of writing one: fails if the
  *                                 batched/scalar speedup regressed more
@@ -15,8 +16,14 @@
  *                                 acceptance floor. The ratio is
  *                                 host-normalized by construction —
  *                                 both sides of it run on this machine.
+ *
+ * The speedup is the median of per-pair ratios: scalar and batched are
+ * timed back to back in interleaved pairs, each section sized to at
+ * least ~100 ms (--quick) or ~250 ms, so one scheduler stall moves one
+ * pair, not the verdict.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +31,7 @@
 #include <iostream>
 #include <sstream>
 #include <streambuf>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "explore_scalar_oracle.hpp"
@@ -69,6 +77,19 @@ measure(const sim::ChipConfig &cfg, const std::string &program,
     return col.collectInterval();
 }
 
+/** Wall time of @p iters calls of @p body, in ns per call. */
+template <typename F>
+double
+timedNs(std::size_t iters, F &&body)
+{
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i)
+        body();
+    const auto t1 = Clock::now();
+    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+           static_cast<double>(iters);
+}
+
 /**
  * Best-of-5 wall time for @p iters calls of @p body, in ns per call.
  * Taking the minimum over repetitions rejects scheduler interference,
@@ -79,17 +100,73 @@ double
 nsPerCall(std::size_t iters, F &&body)
 {
     double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 5; ++rep) {
-        const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < iters; ++i)
-            body();
-        const auto t1 = Clock::now();
-        const double ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count() /
-            static_cast<double>(iters);
-        best = std::min(best, ns);
-    }
+    for (int rep = 0; rep < 5; ++rep)
+        best = std::min(best, timedNs(iters, body));
     return best;
+}
+
+/** Calls of @p body that take at least @p seconds, from a probe. */
+template <typename F>
+std::size_t
+itersFor(double seconds, F &&body)
+{
+    std::size_t probe = 1000;
+    for (;;) {
+        const double ns = timedNs(probe, body);
+        if (ns * static_cast<double>(probe) >= 1e7) // 10 ms probe
+            return static_cast<std::size_t>(seconds * 1e9 / ns) + 1;
+        probe *= 4;
+    }
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/** Medians over interleaved scalar/batched pairs. */
+struct PairedTiming
+{
+    double scalar_ns = 0.0;
+    double batched_ns = 0.0;
+    double speedup = 0.0; ///< median of the per-pair scalar/batched
+    double speedup_min = 0.0;
+    double speedup_max = 0.0;
+};
+
+/**
+ * Time @p scalar and @p batched back to back in @p pairs pairs, each
+ * section @p iters calls. Odd pairs run batched first, so neither side
+ * always follows the other.
+ */
+template <typename S, typename B>
+PairedTiming
+timePairs(std::size_t pairs, std::size_t iters, S &&scalar, B &&batched)
+{
+    std::vector<double> s_ns, b_ns, ratio;
+    for (std::size_t p = 0; p < pairs; ++p) {
+        double s = 0.0, b = 0.0;
+        if (p % 2 == 0) {
+            s = timedNs(iters, scalar);
+            b = timedNs(iters, batched);
+        } else {
+            b = timedNs(iters, batched);
+            s = timedNs(iters, scalar);
+        }
+        s_ns.push_back(s);
+        b_ns.push_back(b);
+        ratio.push_back(b > 0.0 ? s / b : 0.0);
+    }
+    PairedTiming out;
+    out.scalar_ns = median(s_ns);
+    out.batched_ns = median(b_ns);
+    out.speedup = median(ratio);
+    out.speedup_min = *std::min_element(ratio.begin(), ratio.end());
+    out.speedup_max = *std::max_element(ratio.begin(), ratio.end());
+    return out;
 }
 
 /** Discards everything; isolates encode cost from the filesystem. */
@@ -147,13 +224,15 @@ main(int argc, char **argv)
     ppep.exploreInto(rec, preds, scratch); // warm all buffers
     oracle::exploreScalar(ppep, rec, preds, scratch);
 
-    const std::size_t iters = quick ? 20000 : 200000;
-    const double scalar_ns = nsPerCall(
-        iters, [&] { oracle::exploreScalar(ppep, rec, preds, scratch); });
-    const double batched_ns =
-        nsPerCall(iters, [&] { ppep.exploreInto(rec, preds, scratch); });
-    const double speedup =
-        batched_ns > 0.0 ? scalar_ns / batched_ns : 0.0;
+    auto scalar = [&] { oracle::exploreScalar(ppep, rec, preds, scratch); };
+    auto batched = [&] { ppep.exploreInto(rec, preds, scratch); };
+    // Size on the faster side, so both sections run at least this long.
+    const std::size_t iters = itersFor(quick ? 0.1 : 0.25, batched);
+    const std::size_t pairs = quick ? 5 : 9;
+    const PairedTiming timing = timePairs(pairs, iters, scalar, batched);
+    const double scalar_ns = timing.scalar_ns;
+    const double batched_ns = timing.batched_ns;
+    const double speedup = timing.speedup;
 
     std::printf("full exploration (%zu cores x %zu VF states):\n",
                 rec.pmc.size(), n_vf);
@@ -161,7 +240,10 @@ main(int argc, char **argv)
                 scalar_ns, scalar_ns / static_cast<double>(n_vf));
     std::printf("  batched  %9.1f ns/explore  %8.1f ns/VF-state\n",
                 batched_ns, batched_ns / static_cast<double>(n_vf));
-    std::printf("  speedup  %.2fx\n\n", speedup);
+    std::printf("  speedup  %.2fx (median of %zu pairs of %zu calls, "
+                "range %.2f-%.2fx)\n\n",
+                speedup, pairs, iters, timing.speedup_min,
+                timing.speedup_max);
 
     // Telemetry encode cost per row, measured through real sinks.
     const std::vector<std::size_t> cu_vf(stack.cfg.n_cus, 2);
