@@ -63,7 +63,7 @@ parallelFor(std::size_t n, std::size_t workers, Fn &&fn)
                   "std::vector<bool> slots are not thread-safe");
     std::vector<std::exception_ptr> errors(n);
     std::atomic<std::size_t> next{0};
-    auto claim = [&](auto &&job) {
+    auto runAll = [&](auto &&job) {
         runWorkers(std::clamp<std::size_t>(workers, 1,
                                            std::max<std::size_t>(n, 1)),
                    [&](std::size_t) {
@@ -84,10 +84,10 @@ parallelFor(std::size_t n, std::size_t workers, Fn &&fn)
                 std::rethrow_exception(e);
     };
     if constexpr (std::is_void_v<R>) {
-        claim(fn);
+        runAll(fn);
     } else {
         std::vector<R> out(n);
-        claim([&](std::size_t i) { out[i] = fn(i); });
+        runAll([&](std::size_t i) { out[i] = fn(i); });
         return out;
     }
 }
