@@ -10,8 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
+
+#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "capping_odometer.hpp"
@@ -24,6 +27,7 @@
 #include "ppep/sim/fault.hpp"
 #include "ppep/sim/northbridge.hpp"
 #include "ppep/trace/collector.hpp"
+#include "ppep/trace/replay.hpp"
 #include "ppep/util/rng.hpp"
 
 namespace {
@@ -361,6 +365,49 @@ BM_GovernorLoopInterval(benchmark::State &state)
         benchmark::DoNotOptimize(loop.drive(1, schedule));
 }
 BENCHMARK(BM_GovernorLoopInterval);
+
+// --- replay file open ----------------------------------------------------
+//
+// Opening a replay file maps it and checksums every byte before the
+// first frame is served, so open time is checksum throughput.
+
+void
+BM_ReplayFileOpen(benchmark::State &state)
+{
+    // ~16 MB: 8 FX-8320 streams of 1250 frames (1680 B each), all
+    // encoding one collected interval.
+    const sim::ChipConfig cfg = sim::fx8320Config();
+    sim::Chip chip(cfg, bench::kSeed);
+    workloads::launch(chip, workloads::replicate("433.milc", 4), true);
+    trace::Collector col(chip);
+    const trace::IntervalRecord rec = col.collectInterval();
+    std::vector<trace::ReplayStreamBuilder> streams;
+    for (std::size_t s = 0; s < 8; ++s) {
+        streams.emplace_back("s" + std::to_string(s), 1, cfg.coreCount(),
+                             cfg.n_cus, false);
+        for (std::size_t f = 0; f < 1250; ++f)
+            streams.back().addFrame(0.2 * static_cast<double>(f + 1),
+                                    60.0, rec, nullptr);
+    }
+    std::vector<const trace::ReplayStreamBuilder *> ptrs;
+    for (const auto &s : streams)
+        ptrs.push_back(&s);
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("ppep_bench_replay_" + std::to_string(::getpid()) + ".trc"))
+            .string();
+    trace::writeReplayFile(path, ptrs);
+    const auto bytes = std::filesystem::file_size(path);
+
+    for (auto _ : state) {
+        trace::ReplayFile file(path);
+        benchmark::DoNotOptimize(file.streamCount());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes));
+    std::filesystem::remove(path);
+}
+BENCHMARK(BM_ReplayFileOpen);
 
 /**
  * Console output as usual, plus every result mirrored into

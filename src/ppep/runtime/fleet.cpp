@@ -96,12 +96,9 @@ Fleet::prepare()
         auto entry = std::make_unique<ModelEntry>();
         entry->cfg = cfg;
         entry->fingerprint = fp;
-        // Each platform trains on the requested combinations it can
-        // host: an 8-instance combination cannot run on a 6-core chip.
-        std::vector<const workloads::Combination *> fitting;
-        for (const auto *c : combos)
-            if (c->instances.size() <= cfg.coreCount())
-                fitting.push_back(c);
+        // Each platform trains on the requested combinations it can host.
+        const auto fitting =
+            workloads::fittingCombinations(combos, cfg.coreCount());
         if (spec_.store) {
             entry->models = spec_.store->trainOrLoad(
                 cfg, spec_.training_seed, fitting);

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "ppep/sim/events.hpp"
+#include "ppep/util/hash.hpp"
 #include "ppep/util/logging.hpp"
 
 namespace ppep::trace {
@@ -33,18 +34,6 @@ constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kStreamEntryBytes = 96;
 constexpr std::size_t kNameBytes = kMaxStreamNameBytes + 1;
 constexpr std::uint32_t kFlagHasHealth = 1u;
-
-/** FNV-1a over a byte range (same constants as runtime::fnv1a). */
-std::uint64_t
-fnv1aBytes(const unsigned char *p, std::size_t n)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 double
 loadF64(const unsigned char *p) PPEP_NONBLOCKING
@@ -60,6 +49,20 @@ loadU64(const unsigned char *p) PPEP_NONBLOCKING
     std::uint64_t v;
     std::memcpy(&v, p, sizeof(v));
     return v;
+}
+
+/** The replay checksum: wide FNV-1a over @p n / 8 64-bit words. Every
+ *  checksummed range (the stream table, a stream's frames) is a whole
+ *  number of words. */
+std::uint64_t
+checksumWords(const unsigned char *p, std::size_t n)
+{
+    PPEP_ASSERT(n % 8 == 0, "replay checksum over ", n,
+                " bytes, not a whole number of words");
+    std::uint64_t h = util::kFnvOffsetBasis;
+    for (const unsigned char *end = p + n; p != end; p += 8)
+        h = util::fnv1aWide(h, loadU64(p));
+    return h;
 }
 
 std::uint32_t
@@ -208,7 +211,7 @@ writeReplayFile(const std::string &path,
         appendU64(toc, offset);
         appendU64(toc, static_cast<std::uint64_t>(s->frameCount()));
         appendU64(toc, static_cast<std::uint64_t>(s->frameStride()));
-        appendU64(toc, fnv1aBytes(s->bytes().data(), s->bytes().size()));
+        appendU64(toc, checksumWords(s->bytes().data(), s->bytes().size()));
         appendU32(toc, static_cast<std::uint32_t>(s->nCores()));
         appendU32(toc, static_cast<std::uint32_t>(s->nCus()));
         appendU32(toc, s->withHealth() ? kFlagHasHealth : 0u);
@@ -224,7 +227,7 @@ writeReplayFile(const std::string &path,
     appendU32(head, static_cast<std::uint32_t>(streams.size()));
     appendU32(head, 0u);
     appendU64(head, offset); // total file bytes
-    appendU64(head, fnv1aBytes(toc.data(), toc.size()));
+    appendU64(head, checksumWords(toc.data(), toc.size()));
 
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -275,6 +278,9 @@ ReplayFile::ReplayFile(const std::string &path) : path_(path)
         PPEP_FATAL("replay: ", path,
                    " was recorded with an incompatible byte order");
     const std::uint32_t n_streams = loadU32(p + 16);
+    if (loadU32(p + 20) != 0)
+        PPEP_FATAL("replay: ", path,
+                   " header is corrupt (reserved word is not zero)");
     const std::uint64_t declared = loadU64(p + 24);
     if (declared != map_len_)
         PPEP_FATAL("replay: ", path, " is truncated or padded (header "
@@ -286,7 +292,7 @@ ReplayFile::ReplayFile(const std::string &path) : path_(path)
         PPEP_FATAL("replay: ", path,
                    " is truncated inside the stream table");
     if (loadU64(p + 32) !=
-        fnv1aBytes(p + kHeaderBytes, toc_end - kHeaderBytes))
+        checksumWords(p + kHeaderBytes, toc_end - kHeaderBytes))
         PPEP_FATAL("replay: ", path,
                    " stream table is corrupt (checksum mismatch)");
 
@@ -321,7 +327,7 @@ ReplayFile::ReplayFile(const std::string &path) : path_(path)
                        " is truncated inside stream '", s.name, "'");
         s.frames = p + frame_offset;
         if (checksum !=
-            fnv1aBytes(s.frames, static_cast<std::size_t>(payload)))
+            checksumWords(s.frames, static_cast<std::size_t>(payload)))
             PPEP_FATAL("replay: ", path, " stream '", s.name,
                        "' frame payload is corrupt (checksum "
                        "mismatch)");

@@ -18,9 +18,9 @@
  *                              a swapped value means the file crossed
  *                              an endianness boundary and is rejected
  *     u32      n_streams
- *     u32      reserved        0
+ *     u32      reserved        0 (any other value is rejected)
  *     u64      file_bytes      total file size (truncation check)
- *     u64      toc_checksum    FNV-1a over the stream table bytes
+ *     u64      toc_checksum    checksum of the stream table
  *   StreamEntry × n_streams (96 bytes each)
  *     char     name[40]        NUL-padded session name
  *     u64      fingerprint     runtime::platformFingerprint of the
@@ -29,7 +29,7 @@
  *     u64      frame_offset    byte offset of the stream's first frame
  *     u64      frame_count
  *     u64      frame_stride    bytes per frame
- *     u64      payload_checksum FNV-1a over the stream's frame bytes
+ *     u64      payload_checksum checksum of the stream's frames
  *     u32      n_cores
  *     u32      n_cus
  *     u32      flags           bit 0: frames carry a health block
@@ -47,6 +47,16 @@
  *     f64 pmc[n_cores][kNumEvents]
  *     f64 oracle[n_cores][kNumEvents]
  *     u64 health[11]                          (iff flags bit 0)
+ *
+ * Checksum (since version 2): wide FNV-1a over the range read as
+ * little-endian u64 words — starting from the FNV-1a 64-bit offset
+ * basis, each word w folds in as h = (h ^ w) * FNV prime
+ * (util::fnv1aWide). Both checksummed ranges are whole words: table
+ * entries are 96 bytes and a frame's stride is 8 × its field count.
+ * Version 1 hashed the same ranges one byte per step; this build
+ * rejects version 1 files by their version word, so they must be
+ * re-recorded. The header itself is not checksummed: its fields are
+ * each validated on open.
  *
  * The health block is SampleHealth::words() — the digest-relevant
  * counters of a hardened session's acquisition, in the one order
@@ -71,7 +81,7 @@
 namespace ppep::trace {
 
 /** On-disk format version written and accepted by this build. */
-inline constexpr std::uint32_t kReplayVersion = 1;
+inline constexpr std::uint32_t kReplayVersion = 2;
 
 /** Longest stream name the stream table stores; the writer truncates
  *  longer names. */
@@ -142,10 +152,11 @@ void writeReplayFile(const std::string &path,
 
 /**
  * A memory-mapped replay file, validated eagerly on open: magic,
- * version, byte order, declared size vs actual size, and every
- * stream's FNV-1a payload checksum are checked before the first
- * frame is served. A truncated, corrupt, or foreign file is rejected
- * with a clear fatal diagnostic — never replayed partially.
+ * version, byte order, the reserved header word, declared size vs
+ * actual size, the stream table checksum, and every stream's payload
+ * checksum are checked before the first frame is served. A truncated,
+ * corrupt, or foreign file is rejected with a clear fatal diagnostic —
+ * never replayed partially.
  */
 class ReplayFile
 {

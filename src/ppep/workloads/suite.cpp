@@ -445,6 +445,17 @@ combinationsBySuite(SuiteId id)
     return out;
 }
 
+std::vector<const Combination *>
+fittingCombinations(const std::vector<const Combination *> &combos,
+                    std::size_t core_count)
+{
+    std::vector<const Combination *> out;
+    for (const Combination *c : combos)
+        if (c->instances.size() <= core_count)
+            out.push_back(c);
+    return out;
+}
+
 std::vector<std::size_t>
 launch(sim::Chip &chip, const Combination &combo, bool looping)
 {

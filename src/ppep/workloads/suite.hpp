@@ -109,6 +109,16 @@ std::vector<const Combination *> singleProgramCombinations();
 std::vector<const Combination *> combinationsBySuite(SuiteId id);
 
 /**
+ * The combinations of @p combos that a chip with @p core_count cores
+ * can host (an 8-instance combination cannot run on a 6-core chip),
+ * in their given order. Training filters its set through this, so a
+ * platform trains on the same combinations wherever it is trained.
+ */
+std::vector<const Combination *>
+fittingCombinations(const std::vector<const Combination *> &combos,
+                    std::size_t core_count);
+
+/**
  * Place a combination's instances onto a chip's cores.
  *
  * SPEC instances go one per CU (the paper pins multi-programmed runs to

@@ -15,8 +15,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "ppep/sim/fault.hpp"
 #include "ppep/trace/collector.hpp"
 #include "ppep/trace/replay.hpp"
+#include "ppep/util/rng.hpp"
 #include "ppep/workloads/suite.hpp"
 
 #include "temp_path.hpp"
@@ -288,6 +291,47 @@ writeSmallFile(const std::string &tag, std::uint64_t fingerprint)
     return path;
 }
 
+/** Overwrite @p n bytes of @p path at @p offset. */
+void
+patchFile(const std::string &path, std::size_t offset, const void *src,
+          std::size_t n)
+{
+    std::fstream f(path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(static_cast<const char *>(src),
+            static_cast<std::streamsize>(n));
+    ASSERT_TRUE(f.good());
+}
+
+void
+patchU32(const std::string &path, std::size_t offset, std::uint32_t v)
+{
+    patchFile(path, offset, &v, sizeof(v));
+}
+
+std::vector<unsigned char>
+readFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
+}
+
+/** XOR one byte of @p path with @p mask (non-zero). */
+void
+flipByte(const std::string &path, std::size_t offset, unsigned char mask)
+{
+    const unsigned char b =
+        static_cast<unsigned char>(readFile(path).at(offset) ^ mask);
+    patchFile(path, offset, &b, 1);
+}
+
+// Byte offsets of the v2 layout (see replay.hpp).
+constexpr std::size_t kHeaderBytes = 40;
+constexpr std::size_t kEntryBytes = 96;
+
 TEST(ReplayDeathTest, FileSmallerThanHeaderIsRejected)
 {
     const std::string path = writeSmallFile("tiny", 1);
@@ -307,16 +351,7 @@ TEST(ReplayDeathTest, TruncatedFileIsRejected)
 TEST(ReplayDeathTest, CorruptFramePayloadIsRejected)
 {
     const std::string path = writeSmallFile("corrupt", 1);
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        f.seekg(-1, std::ios::end);
-        char byte = 0;
-        f.get(byte);
-        f.seekp(-1, std::ios::end);
-        f.put(static_cast<char>(byte ^ 0x5a));
-    }
+    flipByte(path, std::filesystem::file_size(path) - 1, 0x5a);
     EXPECT_DEATH({ trace::ReplayFile f(path); },
                  "frame payload is corrupt");
 }
@@ -324,15 +359,102 @@ TEST(ReplayDeathTest, CorruptFramePayloadIsRejected)
 TEST(ReplayDeathTest, ForeignMagicIsRejected)
 {
     const std::string path = writeSmallFile("magic", 1);
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        f.seekp(0);
-        f.put('X');
-    }
+    patchFile(path, 0, "X", 1);
     EXPECT_DEATH({ trace::ReplayFile f(path); },
                  "not a PPEP replay file");
+}
+
+TEST(ReplayTrace, ChecksumsAreWideFnv1aOverLittleEndianWords)
+{
+    // Pins the v2 checksum definition independently of the reader:
+    // from the FNV-1a offset basis, h = (h ^ w) * prime per u64 word.
+    const std::string path = writeSmallFile("checksum", 1);
+    const std::vector<unsigned char> b = readFile(path);
+    auto word = [&](std::size_t off) {
+        std::uint64_t w;
+        std::memcpy(&w, b.data() + off, sizeof(w));
+        return w;
+    };
+    auto wide = [&](std::size_t off, std::size_t n) {
+        std::uint64_t h = 14695981039346656037ULL;
+        for (std::size_t i = 0; i < n; i += 8)
+            h = (h ^ word(off + i)) * 1099511628211ULL;
+        return h;
+    };
+    std::uint32_t version;
+    std::memcpy(&version, b.data() + 8, sizeof(version));
+    EXPECT_EQ(version, 2u);
+    EXPECT_EQ(word(32), wide(kHeaderBytes, kEntryBytes));
+    const std::size_t frames = word(kHeaderBytes + 48);
+    const std::size_t payload =
+        word(kHeaderBytes + 56) * word(kHeaderBytes + 64);
+    ASSERT_EQ(frames + payload, b.size());
+    EXPECT_EQ(word(kHeaderBytes + 72), wide(frames, payload));
+}
+
+TEST(ReplayDeathTest, OlderFormatVersionIsRejected)
+{
+    const std::string path = writeSmallFile("v1", 1);
+    patchU32(path, 8, trace::kReplayVersion - 1);
+    EXPECT_EXIT({ trace::ReplayFile f(path); },
+                ::testing::ExitedWithCode(1),
+                "is format version " +
+                    std::to_string(trace::kReplayVersion - 1) +
+                    "; this build reads version " +
+                    std::to_string(trace::kReplayVersion));
+}
+
+TEST(ReplayDeathTest, CorruptStreamEntryIsRejected)
+{
+    const std::string path = writeSmallFile("entry", 1);
+    flipByte(path, kHeaderBytes + 56, 0x01); // frame_count's low byte
+    EXPECT_EXIT({ trace::ReplayFile f(path); },
+                ::testing::ExitedWithCode(1),
+                "stream table is corrupt \\(checksum mismatch\\)");
+}
+
+TEST(ReplayDeathTest, SwappedByteOrderMarkIsRejected)
+{
+    const std::string path = writeSmallFile("bom", 1);
+    patchU32(path, 12, 0x04030201u);
+    EXPECT_EXIT({ trace::ReplayFile f(path); },
+                ::testing::ExitedWithCode(1),
+                "incompatible byte order");
+}
+
+TEST(ReplayDeathTest, NonZeroHeaderReservedWordIsRejected)
+{
+    const std::string path = writeSmallFile("reserved", 1);
+    patchU32(path, 20, 1u);
+    EXPECT_EXIT({ trace::ReplayFile f(path); },
+                ::testing::ExitedWithCode(1),
+                "reserved word is not zero");
+}
+
+TEST(ReplayDeathTest, SeededSingleByteFlipsAreRejected)
+{
+    // 16 single-byte flips spread over the header, the stream table
+    // and the frames: every one must be a clean fatal, never a replay.
+    const std::string clean = writeSmallFile("flip_clean", 1);
+    const std::size_t size = std::filesystem::file_size(clean);
+    const std::size_t bounds[] = {0, kHeaderBytes,
+                                  kHeaderBytes + kEntryBytes, size};
+    util::Rng rng(0x5eed);
+    for (std::size_t k = 0; k < 16; ++k) {
+        const std::size_t lo = bounds[k % 3];
+        const std::size_t hi = bounds[k % 3 + 1];
+        const std::size_t offset = lo + rng.uniformInt(hi - lo);
+        const auto mask =
+            static_cast<unsigned char>(1 + rng.uniformInt(255));
+        SCOPED_TRACE("byte " + std::to_string(offset) + " ^ " +
+                     std::to_string(mask));
+        const std::string path = tracePath("flip");
+        std::filesystem::copy_file(
+            clean, path, std::filesystem::copy_options::overwrite_existing);
+        flipByte(path, offset, mask);
+        EXPECT_EXIT({ trace::ReplayFile f(path); },
+                    ::testing::ExitedWithCode(1), "fatal: replay: ");
+    }
 }
 
 TEST(ReplayDeathTest, WrongPlatformFingerprintIsRejected)

@@ -151,6 +151,26 @@ TEST(Combos, ThreadCountsAreOneToEight)
     }
 }
 
+TEST(Combos, FittingCombinationsKeepOrderAndDropOversized)
+{
+    std::vector<const Combination *> all;
+    std::size_t fit_six = 0;
+    for (const auto &c : allCombinations()) {
+        all.push_back(&c);
+        fit_six += c.instances.size() <= 6 ? 1 : 0;
+    }
+    const auto six = fittingCombinations(all, 6);
+    EXPECT_EQ(six.size(), fit_six);
+    EXPECT_LT(six.size(), all.size());
+    for (std::size_t i = 0; i < six.size(); ++i) {
+        EXPECT_LE(six[i]->instances.size(), 6u) << six[i]->name;
+        if (i > 0) {
+            EXPECT_LT(six[i - 1], six[i]) << "order changed";
+        }
+    }
+    EXPECT_EQ(fittingCombinations(all, 8), all);
+}
+
 TEST(Launch, SpecInstancesLandOnDistinctCus)
 {
     ppep::sim::Chip chip(ppep::sim::fx8320Config(), 1);

@@ -415,7 +415,9 @@ cmdTrain(const Options &opt)
     std::printf("training on %s (seed %llu)...\n", cfg.name.c_str(),
                 static_cast<unsigned long long>(opt.seed));
     model::Trainer trainer(cfg, opt.seed);
-    const auto models = trainer.trainAll(trainingSet(opt.quick));
+    // The set a `ppep fleet` session on this platform trains on.
+    const auto models = trainer.trainAll(workloads::fittingCombinations(
+        trainingSet(opt.quick), cfg.coreCount()));
     model::saveModels(models, opt.out_path);
     std::printf("alpha = %.3f\n", models.alpha);
     std::printf("models written to %s\n", opt.out_path.c_str());

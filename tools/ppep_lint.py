@@ -138,6 +138,7 @@ HOT_FILES = {
     "sim/vf_state.hpp",
     "sim/fault.hpp",
     "util/fmt.hpp",
+    "util/hash.hpp",
     "util/rng.cpp", "util/rng.hpp",
     "util/annotations.hpp",
 }
