@@ -2,21 +2,20 @@
  * @file
  * Capability-annotated synchronisation primitives.
  *
- * This is the ONLY file in src/ppep allowed to name std::mutex or
- * std::condition_variable (tools/ppep_lint.py, rule `raw-sync`).
- * Everything else locks through these wrappers, which carry Clang
- * Thread Safety Analysis capabilities (util/thread_annotations.hpp):
- * under the PPEP_THREAD_SAFETY build, an access to a PPEP_GUARDED_BY
- * member without the lock, a call into a PPEP_REQUIRES function without
- * it, or an acquisition that inverts a declared order refuses to
- * compile. On GCC the annotations vanish and the wrappers are exactly
- * std::mutex / std::condition_variable / std::lock_guard /
- * std::unique_lock with zero overhead.
+ * This is the ONLY file in src/ppep allowed to name std::mutex
+ * (tools/ppep_lint.py, rule `raw-sync`). Everything else locks through
+ * these wrappers, which carry Clang Thread Safety Analysis capabilities
+ * (util/thread_annotations.hpp): under the PPEP_THREAD_SAFETY build, an
+ * access to a PPEP_GUARDED_BY member without the lock, a call into a
+ * PPEP_REQUIRES function without it, or an acquisition that inverts a
+ * declared order refuses to compile. On GCC the annotations vanish and
+ * the wrappers are exactly std::mutex / std::lock_guard with zero
+ * overhead.
  *
- * Deliberately *not* provided: a timed mutex, a recursive mutex, a
- * reader/writer lock. The runtime's disciplines (DESIGN.md section 18)
- * need none of them — the RCU-style hot-swap reader side is lock-free
- * by construction, and adding primitives here is how lock soup starts.
+ * Deliberately *not* provided: a condition variable, a try-lock, a
+ * timed, recursive or reader/writer lock. The one user, ModelStore's
+ * per-path lock registry (DESIGN.md section 18), needs none of them,
+ * and adding primitives here is how lock soup starts.
  *
  * None of these are for the warm interval path: util::Mutex::lock() is
  * deliberately not PPEP_NONBLOCKING, so taking it anywhere inside the
@@ -27,14 +26,11 @@
 #ifndef PPEP_UTIL_SYNC_HPP
 #define PPEP_UTIL_SYNC_HPP
 
-#include <condition_variable>
 #include <mutex>
 
 #include "ppep/util/thread_annotations.hpp"
 
 namespace ppep::util {
-
-class CondVar;
 
 /** A std::mutex carrying a thread-safety capability. */
 class PPEP_CAPABILITY("mutex") Mutex
@@ -44,18 +40,13 @@ class PPEP_CAPABILITY("mutex") Mutex
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 
-    /** Block until the mutex is held. Prefer MutexLock/UniqueLock. */
+    /** Block until the mutex is held. Prefer MutexLock. */
     void lock() PPEP_ACQUIRE() { mu_.lock(); }
 
     /** Release the mutex. */
     void unlock() PPEP_RELEASE() { mu_.unlock(); }
 
-    /** Acquire without blocking; true when the lock was taken. */
-    bool try_lock() PPEP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
   private:
-    friend class MutexLock;
-    friend class UniqueLock;
     std::mutex mu_;
 };
 
@@ -75,66 +66,6 @@ class PPEP_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mu_;
-};
-
-/**
- * Scoped lock that can be dropped and re-taken mid-scope
- * (std::unique_lock shape) — the shape condition-variable waits and
- * unlock-while-working sections (the telemetry writer draining a slot)
- * need. Destruction releases the lock if it is still held.
- */
-class PPEP_SCOPED_CAPABILITY UniqueLock
-{
-  public:
-    explicit UniqueLock(Mutex &mu) PPEP_ACQUIRE(mu) : lk_(mu.mu_) {}
-    ~UniqueLock() PPEP_RELEASE() {} // member dtor unlocks if still held
-
-    /** Drop the lock mid-scope (must be held). */
-    void unlock() PPEP_RELEASE() { lk_.unlock(); }
-
-    /** Re-take the lock after unlock(). */
-    void lock() PPEP_ACQUIRE() { lk_.lock(); }
-
-    UniqueLock(const UniqueLock &) = delete;
-    UniqueLock &operator=(const UniqueLock &) = delete;
-
-  private:
-    friend class CondVar;
-    std::unique_lock<std::mutex> lk_;
-};
-
-/**
- * Condition variable over util::Mutex via UniqueLock.
- *
- * No wait-with-predicate overload on purpose: Thread Safety Analysis
- * cannot see through a predicate lambda (the lambda body is analysed as
- * its own unannotated function, so its reads of PPEP_GUARDED_BY state
- * would be flagged — or worse, silently trusted). Callers write the
- * loop explicitly,
- *
- *     while (!condition_over_guarded_state)
- *         cv.wait(lock);
- *
- * which keeps every guarded read inside the annotated function where
- * the analysis can prove the lock is held. Each CondVar declaration
- * documents its wait predicate next to the member.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /** Atomically release @p lk, sleep, re-acquire before returning.
-     *  Spurious wakeups happen: always re-check the predicate. */
-    void wait(UniqueLock &lk) { cv_.wait(lk.lk_); }
-
-    void notify_one() { cv_.notify_one(); }
-    void notify_all() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable cv_;
 };
 
 } // namespace ppep::util

@@ -19,66 +19,36 @@ serialOnly() PPEP_REQUIRES(serial_role)
 {
 }
 
-/** The mailbox idiom: guarded state, scoped locks, explicit CV wait
- *  loops, an EXCLUDES public surface, and a REQUIRES helper. */
-class Mailbox
+/** The registry idiom: guarded state, scoped locks, an EXCLUDES public
+ *  surface, and a REQUIRES helper. */
+class Registry
 {
   public:
-    void post() PPEP_EXCLUDES(mu_)
+    void bump() PPEP_EXCLUDES(mu_)
     {
-        {
-            ppep::util::MutexLock g(mu_);
-            bumpLocked();
-            ready_ = true;
-        }
-        cv_.notify_all();
+        ppep::util::MutexLock g(mu_);
+        bumpLocked();
     }
 
-    /** Explicit wait loop — the only CV shape TSA can verify. */
-    int take() PPEP_EXCLUDES(mu_)
+    int count() const PPEP_EXCLUDES(mu_)
     {
-        ppep::util::UniqueLock lk(mu_);
-        while (!ready_)
-            cv_.wait(lk);
-        ready_ = false;
+        ppep::util::MutexLock g(mu_);
         return n_;
     }
 
-    /** The unlock-work-relock shape of the telemetry writer. */
-    void dropAndRetake() PPEP_EXCLUDES(mu_)
+    /** Unguarded work runs outside the lock's scope. */
+    void bumpThenSerial() PPEP_EXCLUDES(mu_)
     {
-        ppep::util::UniqueLock lk(mu_);
-        ++n_;
-        lk.unlock();
-        serialish(); // unguarded work while the lock is dropped
-        lk.lock();
-        ++n_;
-    }
-
-    /** try_lock in an if-condition acquires only on the true branch. */
-    bool tryBump() PPEP_EXCLUDES(mu_)
-    {
-        if (mu_.try_lock()) {
-            ++n_;
-            mu_.unlock();
-            return true;
-        }
-        return false;
+        bump();
+        ppep::util::RoleGuard serial(serial_role);
+        serialOnly();
     }
 
   private:
     void bumpLocked() PPEP_REQUIRES(mu_) { ++n_; }
 
-    static void serialish()
-    {
-        ppep::util::RoleGuard serial(serial_role);
-        serialOnly();
-    }
-
-    ppep::util::Mutex mu_;
-    ppep::util::CondVar cv_;
+    mutable ppep::util::Mutex mu_;
     int n_ PPEP_GUARDED_BY(mu_) = 0;
-    bool ready_ PPEP_GUARDED_BY(mu_) = false;
 };
 
 } // namespace
@@ -86,10 +56,8 @@ class Mailbox
 int
 main()
 {
-    Mailbox m;
-    m.post();
-    const int n = m.take();
-    m.dropAndRetake();
-    (void)m.tryBump();
-    return n == 0 ? 1 : 0;
+    Registry r;
+    r.bump();
+    r.bumpThenSerial();
+    return r.count() == 2 ? 0 : 1;
 }

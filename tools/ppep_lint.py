@@ -41,7 +41,7 @@ knows about:
   raw-sync     std::mutex / std::condition_variable (and friends) are
                banned in src/ppep outside util/sync.hpp: all locking
                goes through the capability-annotated util::Mutex /
-               util::CondVar wrappers so the PPEP_THREAD_SAFETY build
+               util::MutexLock wrappers so the PPEP_THREAD_SAFETY build
                can prove lock discipline. A raw primitive is invisible
                to Thread Safety Analysis.
 
@@ -152,7 +152,7 @@ HOT_BANNED_RE = re.compile(
     r"|fopen|fstream|ofstream"
     # The annotated wrappers block exactly like the primitives they wrap;
     # a hot file must not acquire them either.
-    r"|util::Mutex|util::CondVar|MutexLock|UniqueLock)\b")
+    r"|util::Mutex|MutexLock)\b")
 HOT_BANNED_INCLUDE_RE = re.compile(
     r"#include\s+(?:<(iostream|fstream|sstream|mutex|thread"
     r"|condition_variable|shared_mutex)>"
@@ -379,7 +379,7 @@ def check_raw_sync(path: Path, rp: str, lines: list[str], out: list):
             out.append(Finding(path, i, "raw-sync",
                                f"raw '{token}' outside util/sync.hpp; "
                                "use the capability-annotated util::Mutex"
-                               " / util::CondVar wrappers so "
+                               " / util::MutexLock wrappers so "
                                "PPEP_THREAD_SAFETY can see the lock"))
 
 
