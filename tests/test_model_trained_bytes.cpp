@@ -24,7 +24,7 @@
 
 #include "ppep/model/serialization.hpp"
 #include "ppep/model/trainer.hpp"
-#include "ppep/runtime/model_store.hpp"
+#include "ppep/util/hash.hpp"
 #include "ppep/sim/chip_config.hpp"
 #include "ppep/workloads/suite.hpp"
 
@@ -52,7 +52,7 @@ modelBytesDigest(const sim::ChipConfig &cfg, std::uint64_t seed,
     std::ostringstream os;
     model::saveModels(models, os);
     const std::string bytes = os.str();
-    return runtime::fnv1a(bytes.data(), bytes.size());
+    return util::fnv1a(bytes.data(), bytes.size());
 }
 
 void

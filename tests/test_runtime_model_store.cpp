@@ -15,6 +15,7 @@
 #include "ppep/model/ppep.hpp"
 #include "ppep/runtime/model_store.hpp"
 #include "ppep/trace/collector.hpp"
+#include "ppep/util/hash.hpp"
 #include "ppep/workloads/suite.hpp"
 
 #include "temp_path.hpp"
@@ -326,9 +327,9 @@ TEST(ModelStore, PathLockRegistryStaysBounded)
 TEST(ModelStore, Fnv1aMatchesReferenceVectors)
 {
     // Published FNV-1a 64-bit test vectors.
-    EXPECT_EQ(runtime::fnv1a("", 0), 14695981039346656037ull);
-    EXPECT_EQ(runtime::fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(runtime::fnv1a("foobar", 6), 0x85944171f73967e8ull);
+    EXPECT_EQ(util::fnv1a("", 0), 14695981039346656037ull);
+    EXPECT_EQ(util::fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(util::fnv1a("foobar", 6), 0x85944171f73967e8ull);
 }
 
 } // namespace
