@@ -335,13 +335,17 @@ class SummarySink : public TelemetrySink
     void print(std::ostream &out) const;
 
   private:
-    struct StepLite
-    {
-        double cap_w = 0.0;
-        double power_w = 0.0;
-    };
-
-    std::vector<StepLite> steps_;
+    std::size_t intervals_ = 0;
+    /** Intervals at or under cap (2% grace band). */
+    std::size_t cap_ok_ = 0;
+    double last_cap_w_ = 0.0;
+    /** Cap drops not yet settled: their count and index sum. All of
+     *  them settle at the next interval that meets its cap. */
+    std::size_t open_drops_ = 0;
+    std::size_t open_drop_index_sum_ = 0;
+    /** Settled drops and the intervals they took in total. */
+    std::size_t settled_drops_ = 0;
+    std::size_t settle_intervals_ = 0;
     std::vector<std::size_t> residency_;
     std::vector<std::string> tenant_names_;
     std::vector<double> tenant_energy_j_;
