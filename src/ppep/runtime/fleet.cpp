@@ -97,15 +97,9 @@ Fleet::prepare()
         entry->cfg = cfg;
         entry->fingerprint = fp;
         // Each platform trains on the requested combinations it can host.
-        const auto fitting =
-            workloads::fittingCombinations(combos, cfg.coreCount());
-        if (spec_.store) {
-            entry->models = spec_.store->trainOrLoad(
-                cfg, spec_.training_seed, fitting);
-        } else {
-            model::Trainer trainer(cfg, spec_.training_seed);
-            entry->models = trainer.trainAll(fitting);
-        }
+        entry->models =
+            acquireModels(cfg, spec_.training_seed, combos,
+                          spec_.store ? &*spec_.store : nullptr);
         entry->ppep.emplace(cfg, entry->models.chip, entry->models.pg);
         entries_.push_back(std::move(entry));
         return entries_.size() - 1;

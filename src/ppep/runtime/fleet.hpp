@@ -99,7 +99,8 @@ struct FleetSpec
     std::uint64_t training_seed = 42;
     /** Acquire models through this cache; nullopt trains fresh. */
     std::optional<ModelStore> store;
-    /** Training set; nullopt = all single-program combinations. */
+    /** Training set; nullopt = all single-program combinations. Each
+     *  platform trains on the ones it can host (acquireModels). */
     std::optional<std::vector<const workloads::Combination *>>
         training_combos;
     /** Fleet-default policy; empty = EDP-optimal. */
