@@ -318,10 +318,9 @@ recalFleetSpec()
 
 TEST(Recalibrate, FleetBitIdenticalAtAnyThreadCount)
 {
-    // The determinism barrier under test: adoption lands at exactly
-    // trigger + adopt_latency regardless of how fast each session's
-    // background worker runs, so the telemetry digests (which fold in
-    // model generation and the recal counters) cannot depend on the
+    // Adoption lands at exactly trigger + adopt_latency on the session's
+    // own thread, so the telemetry digests (which fold in model
+    // generation and the recal counters) cannot depend on the fleet's
     // thread count.
     runtime::Fleet serial(recalFleetSpec());
     const auto r1 = serial.run(1);

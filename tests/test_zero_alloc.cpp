@@ -304,14 +304,12 @@ TEST(ZeroAlloc, TenantSessionSteadyStateIntervalIsAllocationFree)
 
 TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
 {
-    // The reader side of the RCU swap: after a refit has been adopted,
-    // the governed loop runs on the swapped-in generation — ring
-    // snapshotting, the adoptIfDue fast path, and the rebuilt (worker-
-    // pre-warmed) governor must all stay off the heap. max_generations=1
-    // plus an effectively-infinite cooldown make the post-swap steady
-    // state quiescent, so the background worker (whose allocations the
-    // global counting hook would also see) is parked in its cv-wait for
-    // the whole counted window.
+    // After a refit has been adopted, the governed loop runs on the
+    // swapped-in generation — ring snapshotting, the adoptIfDue fast
+    // path, and the rebuilt (pre-warmed at the refit) governor must all
+    // stay off the heap. max_generations=1 plus an effectively-infinite
+    // cooldown keep any further refit (which allocates its design
+    // matrix and candidate) out of the counted window.
     sim::FaultPlan plan;
     plan.power_drift_bias = 5e-4;
     plan.drift_clamp = 0.4;
