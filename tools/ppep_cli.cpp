@@ -844,7 +844,8 @@ cmdFleet(const Options &opt)
                 continue;
             std::printf("  %-10s generation %llu, %llu refits "
                         "(%llu adopted, %llu rejected), divergence "
-                        "EWMA %.2f W\n",
+                        "EWMA %.2f W, power MAE %.3f W over %zu "
+                        "predicted intervals, %zu degraded\n",
                         s.name.c_str(),
                         static_cast<unsigned long long>(
                             s.summary.model_generation),
@@ -854,7 +855,10 @@ cmdFleet(const Options &opt)
                             s.summary.recal_accepted),
                         static_cast<unsigned long long>(
                             s.summary.recal_rejected),
-                        s.summary.final_divergence_ewma_w);
+                        s.summary.final_divergence_ewma_w,
+                        s.summary.power_mae_w,
+                        s.summary.predicted_intervals,
+                        s.summary.degraded_intervals);
         }
     }
     std::printf("\n%zu/%zu sessions completed in %.3f s "
