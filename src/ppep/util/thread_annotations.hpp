@@ -68,14 +68,6 @@
 /** Member readable/writable only while holding the capability. */
 #define PPEP_GUARDED_BY(x) PPEP_THREAD_ANNOTATION_(guarded_by(x))
 
-/** Pointee readable/writable only while holding the capability. */
-#define PPEP_PT_GUARDED_BY(x) PPEP_THREAD_ANNOTATION_(pt_guarded_by(x))
-
-/** Declared lock order: this capability is acquired before the named
- *  ones. Violations surface under -Wthread-safety-beta. */
-#define PPEP_ACQUIRED_BEFORE(...) \
-    PPEP_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-
 /** Declared lock order: this capability is acquired after the named
  *  ones. Violations surface under -Wthread-safety-beta. */
 #define PPEP_ACQUIRED_AFTER(...) \
@@ -84,10 +76,6 @@
 /** Caller must hold the capabilities exclusively. */
 #define PPEP_REQUIRES(...) \
     PPEP_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-
-/** Caller must hold the capabilities at least shared. */
-#define PPEP_REQUIRES_SHARED(...) \
-    PPEP_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 /** Function acquires the capabilities and holds them on return. */
 #define PPEP_ACQUIRE(...) \
@@ -102,18 +90,6 @@
  *  This is how the registry→path lock order is encoded. */
 #define PPEP_EXCLUDES(...) \
     PPEP_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-
-/** Asserts at runtime that the capability is held (no acquisition). */
-#define PPEP_ASSERT_CAPABILITY(x) \
-    PPEP_THREAD_ANNOTATION_(assert_capability(x))
-
-/** Function returns a reference to the named capability. */
-#define PPEP_RETURN_CAPABILITY(x) PPEP_THREAD_ANNOTATION_(lock_returned(x))
-
-/** Escape hatch: function body is not analysed. Every use must carry a
- *  `// tsa-escape:` justification (tools/ppep_lint.py). */
-#define PPEP_NO_THREAD_SAFETY_ANALYSIS \
-    PPEP_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 namespace ppep::util {
 
