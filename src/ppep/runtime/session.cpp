@@ -505,33 +505,9 @@ Session::observe(double decision_latency_s)
     t.degraded = s.degraded_gov ? s.degraded_gov->degradedNow() : false;
     if (s.monitor)
         t.divergence_ewma_w = s.monitor->divergenceEwma();
-    // The decision that just ran governs the *next* interval; hold its
-    // forecast until that interval's record arrives. Captured before
-    // any model swap below, so the forecast stays paired with the
-    // governor that actually made the decision.
-    const double next_pred = s.gov->lastPredictedPower();
     if (s.recal) {
-        // Feed the ring, resolve any due refit (re-pointing the
-        // degraded wrapper at the new generation and restarting the
-        // divergence EWMA), then consider a new trigger — adopt-before-
-        // trigger so a freshly reset EWMA cannot immediately
-        // re-dispatch.
         s.recal->observeInterval(
-            step.rec, !t.health || t.health->faultEvents() == 0,
-            t.index);
-        if (const auto *ver = s.recal->adoptIfDue(t.index)) {
-            s.degraded_gov->setInner(*ver->gov);
-            s.monitor->noteModelSwap();
-            t.divergence_ewma_w = s.monitor->divergenceEwma();
-            if (s.lineage_store)
-                s.lineage_store->appendLineage(
-                    s.cfg.name, platformFingerprint(s.cfg),
-                    ver->generation, ver->parent_digest, ver->digest,
-                    "drift-refit", ver->trigger_interval, ver->cv_mae_w,
-                    ver->incumbent_ring_mae_w);
-        }
-        s.recal->maybeTrigger(step.rec, s.monitor->divergenceEwma(),
-                              t.index);
+            step.rec, !t.health || t.health->faultEvents() == 0);
         t.recal_active = true;
         t.model_generation = s.recal->generation();
         t.recal_triggers = s.recal->triggers();
@@ -545,7 +521,26 @@ Session::observe(double decision_latency_s)
     }
     for (auto *sink : s.sinks)
         sink->onInterval(t);
-    s.pending_pred = next_pred;
+    // The decision that just ran governs the *next* interval; hold its
+    // forecast until that interval's record arrives.
+    s.pending_pred = s.gov->lastPredictedPower();
+    // A refit runs after the sinks, which have read this interval's
+    // exploration from the governor an adoption retires. An adopted
+    // generation governs from the next decision on, with a fresh
+    // divergence EWMA.
+    if (s.recal) {
+        if (const auto *ver = s.recal->maybeRefit(
+                step.rec, s.monitor->divergenceEwma(), t.index)) {
+            s.degraded_gov->setInner(*ver->gov);
+            s.monitor->noteModelSwap();
+            const RefitRecord &r = ver->record;
+            if (s.lineage_store)
+                s.lineage_store->appendLineage(
+                    s.cfg.name, platformFingerprint(s.cfg), r.generation,
+                    r.parent_digest, r.digest, "drift-refit",
+                    r.trigger_interval, r.cv_mae_w, r.incumbent_mae_w);
+        }
+    }
 }
 
 void

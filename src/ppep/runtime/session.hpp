@@ -198,13 +198,12 @@ class Session
          * Run a Recalibrator alongside the hardened loop (implies the
          * hardened path): when the divergence EWMA crosses the policy's
          * recalibrate threshold, the dynamic-power weights are refit
-         * during that interval's telemetry hand-off and — if they beat
-         * the incumbent — swapped in between decisions
-         * adopt_latency_intervals later. Incompatible
-         * with an external governor (the Recalibrator must be able to
-         * rebuild the policy over the refit models). When the session
-         * also has a store(), adopted generations are journalled to the
-         * store's lineage log.
+         * during that interval's telemetry hand-off, after its sinks,
+         * and — if they beat the incumbent — govern from the next
+         * decision on. Incompatible with an external governor (the
+         * Recalibrator must be able to rebuild the policy over the
+         * refit models). When the session also has a store(), adopted
+         * generations are journalled to the store's lineage log.
          */
         Builder &recalibration(const RecalibrationPolicy &p);
 

@@ -4,7 +4,7 @@
  * the trigger/refit/adopt lifecycle on a governed session, the
  * acceptance gate's rejection path, lineage journalling through the
  * ModelStore, and the fleet determinism contract across thread counts
- * with refits in flight.
+ * with refits.
  */
 
 #include <gtest/gtest.h>
@@ -52,7 +52,7 @@ cacheDir()
     return dir;
 }
 
-/** A refit-friendly policy: small ring, short latency, quick cooldown. */
+/** A refit-friendly policy: small ring, quick cooldown. */
 RecalibrationPolicy
 tightPolicy()
 {
@@ -61,7 +61,6 @@ tightPolicy()
     p.ring_capacity = 64;
     p.min_ring_fill = 32;
     p.cooldown_intervals = 16;
-    p.adopt_latency_intervals = 4;
     p.min_improvement = 0.05;
     return p;
 }
@@ -113,11 +112,6 @@ TEST(RecalibratorDeath, DegeneratePoliciesAreFatal)
     EXPECT_DEATH(Recalibrator(cfg, untrained, rebuild, 1, shallow),
                  "ring capacity");
 
-    RecalibrationPolicy instant;
-    instant.adopt_latency_intervals = 0;
-    EXPECT_DEATH(Recalibrator(cfg, untrained, rebuild, 1, instant),
-                 "latency");
-
     RecalibrationPolicy zero;
     zero.recal_divergence_w = 0.0;
     EXPECT_DEATH(Recalibrator(cfg, untrained, rebuild, 1, zero),
@@ -143,7 +137,6 @@ TEST(Recalibrate, PlainHardenedSessionNeverTriggers)
     EXPECT_EQ(rc->triggers(), 0u);
     EXPECT_EQ(rc->generation(), 0u);
     EXPECT_EQ(rc->current(), nullptr);
-    EXPECT_FALSE(rc->refitPending());
     EXPECT_GT(rc->ringFill(), 0u);
 }
 
@@ -157,7 +150,7 @@ TEST(Recalibrate, DriftTriggersRefitAndHotSwap)
     EXPECT_GE(rc->accepted(), 1u);
     EXPECT_GE(rc->generation(), 1u);
     ASSERT_NE(rc->current(), nullptr);
-    EXPECT_EQ(rc->current()->generation, rc->generation());
+    EXPECT_EQ(rc->current()->record.generation, rc->generation());
 
     // The swap restarted divergence tracking and the refit model fits
     // the drifted chip: the EWMA must be back under the clean line.
@@ -181,7 +174,6 @@ TEST(Recalibrate, LineageChainsParentDigests)
         EXPECT_EQ(rec.parent_digest, parent);
         EXPECT_GT(rec.ring_rows, 0u);
         EXPECT_GT(rec.trigger_ewma_w, 0.0);
-        EXPECT_GE(rec.decide_interval, rec.trigger_interval);
         if (rec.accepted) {
             EXPECT_STREQ(rec.verdict, "adopted");
             EXPECT_EQ(rec.generation, expected_gen + 1);
@@ -192,6 +184,57 @@ TEST(Recalibrate, LineageChainsParentDigests)
         }
     }
     EXPECT_EQ(expected_gen, rc->generation());
+}
+
+/** Records the model generation each interval's telemetry reports. */
+class GenerationProbe : public runtime::TelemetrySink
+{
+  public:
+    void onInterval(const runtime::IntervalTelemetry &t) override
+    {
+        if (generation.size() <= t.index)
+            generation.resize(t.index + 1);
+        generation[t.index] = t.model_generation;
+    }
+
+    std::vector<std::uint64_t> generation;
+};
+
+TEST(Recalibrate, AdoptionGovernsTheNextInterval)
+{
+    // The refit resolves inside the interval that triggers it: that
+    // interval still reports the generation that decided it, and an
+    // accepted candidate governs from the very next interval on. A
+    // rejected one changes nothing.
+    GenerationProbe probe;
+    auto session = Session::builder(sim::fx8320Config())
+                       .seed(1)
+                       .trainingSeed(91)
+                       .trainingCombos(smallTrainingSet())
+                       .store(runtime::ModelStore(cacheDir()))
+                       .onePerCu({"EP", "CG", "458.sjeng", "EP"})
+                       .faults(driftPlan(5e-4))
+                       .recalibration(tightPolicy())
+                       .sink(probe)
+                       .build();
+    session.drive(300);
+    const Recalibrator *rc = session.recalibrator();
+    ASSERT_NE(rc, nullptr);
+    // Both verdict paths must run, or the test checks less than it
+    // claims to.
+    ASSERT_GE(rc->accepted(), 2u);
+    ASSERT_GE(rc->rejected(), 1u);
+    const auto &gen = probe.generation;
+    for (const auto &r : rc->lineage()) {
+        const std::size_t at = r.trigger_interval;
+        ASSERT_LT(at + 1, gen.size());
+        if (r.accepted) {
+            EXPECT_EQ(gen[at], r.generation - 1) << "interval " << at;
+            EXPECT_EQ(gen[at + 1], r.generation) << "interval " << at;
+        } else {
+            EXPECT_EQ(gen[at + 1], gen[at]) << "interval " << at;
+        }
+    }
 }
 
 TEST(Recalibrate, MaxGenerationsCapsAdoption)
@@ -217,7 +260,6 @@ TEST(Recalibrate, UnbeatableIncumbentIsRejected)
     pol.ring_capacity = 16;
     pol.min_ring_fill = 8;
     pol.kfold_k = 2;
-    pol.adopt_latency_intervals = 2;
     pol.cooldown_intervals = 100000;
     pol.min_improvement = 0.9;
     auto session = driftingSession(pol, sim::FaultPlan{});
@@ -290,7 +332,7 @@ TEST(Recalibrate, AdoptionsAreJournalledToTheStore)
     std::filesystem::remove_all(dir);
 }
 
-// --- fleet determinism with refits in flight ----------------------------
+// --- fleet determinism with refits ---------------------------------------
 
 runtime::FleetSpec
 recalFleetSpec()
@@ -318,10 +360,10 @@ recalFleetSpec()
 
 TEST(Recalibrate, FleetBitIdenticalAtAnyThreadCount)
 {
-    // Adoption lands at exactly trigger + adopt_latency on the session's
-    // own thread, so the telemetry digests (which fold in model
-    // generation and the recal counters) cannot depend on the fleet's
-    // thread count.
+    // A refit runs and resolves inside the interval that triggers it,
+    // on the session's own thread, so the telemetry digests (which fold
+    // in model generation and the recal counters) cannot depend on the
+    // fleet's thread count.
     runtime::Fleet serial(recalFleetSpec());
     const auto r1 = serial.run(1);
     runtime::Fleet parallel(recalFleetSpec());

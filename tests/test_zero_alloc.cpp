@@ -305,7 +305,7 @@ TEST(ZeroAlloc, TenantSessionSteadyStateIntervalIsAllocationFree)
 TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
 {
     // After a refit has been adopted, the governed loop runs on the
-    // swapped-in generation — ring snapshotting, the adoptIfDue fast
+    // swapped-in generation — ring snapshotting, the maybeRefit fast
     // path, and the rebuilt (pre-warmed at the refit) governor must all
     // stay off the heap. max_generations=1 plus an effectively-infinite
     // cooldown keep any further refit (which allocates its design
@@ -317,7 +317,6 @@ TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
     pol.recal_divergence_w = 6.0;
     pol.ring_capacity = 64;
     pol.min_ring_fill = 32;
-    pol.adopt_latency_intervals = 4;
     pol.max_generations = 1;
     pol.cooldown_intervals = 1000000;
     runtime::DigestSink digest;
@@ -336,7 +335,6 @@ TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
     ASSERT_NE(rc, nullptr);
     ASSERT_EQ(rc->generation(), 1u)
         << "the audit needs the swap to have happened";
-    ASSERT_FALSE(rc->refitPending());
 
     session.drive(5); // warm the post-swap scratch
 
