@@ -93,7 +93,7 @@ struct IntervalTelemetry
      *  trained models; each adopted refit increments it). */
     std::uint64_t model_generation = 0;
 
-    /** Refits dispatched so far. */
+    /** Refits triggered so far. */
     std::uint64_t recal_triggers = 0;
 
     /** Refits adopted (hot-swapped in) so far. */
@@ -308,7 +308,7 @@ class SummarySink : public TelemetrySink
         /** Model generation governing the final interval. */
         std::uint64_t model_generation = 0;
 
-        /** Refits dispatched / adopted / rejected over the run. */
+        /** Refits triggered / adopted / rejected over the run. */
         std::uint64_t recal_triggers = 0;
         std::uint64_t recal_accepted = 0;
         std::uint64_t recal_rejected = 0;
