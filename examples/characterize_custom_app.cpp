@@ -1,9 +1,11 @@
 /**
  * @file
  * Characterising a custom application: author a workload with the
- * ProfileBuilder, attribute per-core power with Eq. 7 while it runs
- * next to background threads, and persist the trained models for
- * redeployment — the downstream-user workflow end to end.
+ * ProfileBuilder, attribute power to it and to the background jobs
+ * beside it (one tenant per job's core: Eq. 3 dynamic power plus an
+ * ownership share of the Fig. 4 idle decomposition behind Eqs. 7-8),
+ * and persist the trained models for redeployment — the
+ * downstream-user workflow end to end.
  *
  * Usage: characterize_custom_app [models-file]
  *        (reuses the models file if it exists; trains and writes it
@@ -15,10 +17,10 @@
 #include <iostream>
 #include <string>
 
-#include "ppep/model/per_core_power.hpp"
 #include "ppep/model/ppep.hpp"
 #include "ppep/model/serialization.hpp"
 #include "ppep/model/trainer.hpp"
+#include "ppep/runtime/tenant.hpp"
 #include "ppep/trace/collector.hpp"
 #include "ppep/util/table.hpp"
 #include "ppep/workloads/builder.hpp"
@@ -71,28 +73,31 @@ main(int argc, char **argv)
     collector.collect(3);
     const auto rec = collector.collectInterval();
 
-    // 4. Per-core attribution (Eq. 7) of the measured interval.
-    const model::PerCorePower attribution(cfg, models.dynamic,
-                                          models.pg);
-    const auto shares = attribution.attribute(rec, true);
+    // 4. Attribute the measured interval: one tenant per job's core.
+    //    The five idle cores belong to nobody, so their idle shares
+    //    land in the unattributed remainder.
+    const runtime::TenantAttributor attributor(
+        cfg, models.dynamic, models.pg,
+        {{"my-service", {0}, {}}, {"x264", {2}, {}}, {"456-hmmer", {4}, {}}});
+    auto attribution = attributor.makeAttribution();
+    attributor.attributeInto(rec, /*pg_enabled=*/true, attribution);
 
-    util::Table table("Per-core power attribution (one 200 ms "
+    util::Table table("Per-tenant power attribution (one 200 ms "
                       "interval, PG enabled):");
-    table.setHeader({"core", "job", "dynamic (W)", "idle share (W)",
+    table.setHeader({"tenant", "core", "dynamic (W)", "idle (W)",
                      "total (W)"});
-    const char *jobs[] = {"my-service", "-", "x264", "-",
-                          "456.hmmer", "-", "-", "-"};
-    for (std::size_t c = 0; c < shares.size(); ++c) {
-        if (!shares[c].busy)
-            continue;
-        table.addRow({"core " + std::to_string(c), jobs[c],
-                      util::Table::num(shares[c].dynamic_w, 2),
-                      util::Table::num(shares[c].idle_share_w, 2),
-                      util::Table::num(shares[c].total_w, 2)});
+    for (std::size_t t = 0; t < attributor.tenantCount(); ++t) {
+        const runtime::TenantSpec &spec = attributor.specs()[t];
+        table.addRow({spec.name,
+                      "core " + std::to_string(spec.cores.front()),
+                      util::Table::num(attribution.dynamic_w[t], 2),
+                      util::Table::num(attribution.idle_w[t], 2),
+                      util::Table::num(attribution.total_w[t], 2)});
     }
     table.print(std::cout);
-    std::printf("attributed total: %.1f W   sensor: %.1f W\n",
-                model::PerCorePower::total(shares),
+    std::printf("unattributed: %.1f W   chip total: %.1f W   "
+                "sensor: %.1f W\n",
+                attribution.unattributed_w, attribution.chip_total_w,
                 rec.sensor_power_w);
 
     // 5. What would my-service cost per request batch at each VF state?

@@ -52,8 +52,7 @@ main(int argc, char **argv)
     // 2. Run the chosen workload at the top VF state and grab one
     //    200 ms interval of counters.
     // PG stays disabled here: the Eq. 2 idle model describes the
-    // active-idle chip (the paper's Sec. IV-A..C setup). The PG-aware
-    // path is shown below via predictAssignment().
+    // active-idle chip (the paper's Sec. IV-A..C setup).
     ppep::sim::Chip chip(cfg, /*seed=*/7);
     chip.setAllVf(cfg.vf_table.top());
     const auto combo = ppep::workloads::replicate(program, 1);
@@ -94,14 +93,5 @@ main(int argc, char **argv)
                 est.total_w,
                 100.0 * std::abs(est.total_w - rec.sensor_power_w) /
                     rec.sensor_power_w);
-
-    // 5. The PG-aware view: what the same workload would draw if power
-    //    gating were enabled and each CU had its own voltage plane.
-    const std::vector<std::size_t> assign(cfg.n_cus, cfg.vf_table.top());
-    const auto pg_pred = ppep.predictAssignment(rec, assign,
-                                                /*pg_enabled=*/true);
-    std::printf("Predicted with PG enabled:  %.1f W "
-                "(idle CUs power-gated)\n",
-                pg_pred.chip_power_w);
     return 0;
 }

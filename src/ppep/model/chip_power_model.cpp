@@ -1,5 +1,7 @@
 #include "ppep/model/chip_power_model.hpp"
 
+#include <algorithm>
+
 #include "ppep/util/logging.hpp"
 
 namespace ppep::model {
@@ -54,11 +56,12 @@ ChipPowerModel::predictAt(const trace::IntervalRecord &rec,
     for (const auto &core : rec.pmc) {
         const PredictedCoreState pred = EventPredictor::predict(
             core, rec.duration_s, now.freq_ghz, then.freq_ghz);
+        // Eq. 3 prices the E1..E9 prefix of the predicted rates.
+        std::array<double, sim::kNumPowerEvents> rates{};
+        std::copy_n(pred.rates_per_s.begin(), sim::kNumPowerEvents,
+                    rates.begin());
         double core_w = 0.0, nb_w = 0.0;
-        // The predicted rate vector's E1..E9 prefix prices directly —
-        // no 9-element staging copy.
-        dynamic_.splitFromRates(pred.rates_per_s, then.voltage, core_w,
-                                nb_w);
+        dynamic_.split(rates, then.voltage, core_w, nb_w);
         est.dyn_core_w += core_w;
         est.dyn_nb_w += nb_w;
     }

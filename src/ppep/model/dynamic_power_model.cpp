@@ -64,16 +64,6 @@ DynamicPowerModel::estimate(
 }
 
 double
-DynamicPowerModel::estimateFromRates(const sim::EventVector &rates_per_s,
-                                     double voltage) const
-{
-    std::array<double, sim::kNumPowerEvents> rates{};
-    for (std::size_t i = 0; i < sim::kNumPowerEvents; ++i)
-        rates[i] = rates_per_s[i];
-    return estimate(rates, voltage);
-}
-
-double
 DynamicPowerModel::voltageScale(double voltage) const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(trained_, "dynamic power model not trained");
@@ -89,39 +79,12 @@ DynamicPowerModel::split(
     splitScaled(rates_per_s, voltageScale(voltage), core_w, nb_w);
 }
 
-double
-DynamicPowerModel::estimateScaled(
-    const std::array<double, sim::kNumPowerEvents> &rates_per_s,
-    double vscale) const PPEP_NONBLOCKING
-{
-    double core_w = 0.0, nb_w = 0.0;
-    splitScaled(rates_per_s, vscale, core_w, nb_w);
-    return core_w + nb_w;
-}
-
 void
 DynamicPowerModel::splitScaled(
     const std::array<double, sim::kNumPowerEvents> &rates_per_s,
     double vscale, double &core_w, double &nb_w) const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(trained_, "dynamic power model not trained");
-    core_w = 0.0;
-    for (std::size_t i = 0; i < sim::kNumCorePowerEvents; ++i)
-        core_w += weights_[i] * rates_per_s[i];
-    core_w *= vscale;
-    nb_w = 0.0;
-    for (std::size_t i = sim::kNumCorePowerEvents;
-         i < sim::kNumPowerEvents; ++i)
-        nb_w += weights_[i] * rates_per_s[i];
-}
-
-void
-DynamicPowerModel::splitFromRates(const sim::EventVector &rates_per_s,
-                                  double voltage, double &core_w,
-                                  double &nb_w) const PPEP_NONBLOCKING
-{
-    PPEP_ASSERT(trained_, "dynamic power model not trained");
-    const double vscale = voltageScale(voltage);
     core_w = 0.0;
     for (std::size_t i = 0; i < sim::kNumCorePowerEvents; ++i)
         core_w += weights_[i] * rates_per_s[i];

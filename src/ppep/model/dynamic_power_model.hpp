@@ -76,10 +76,6 @@ class DynamicPowerModel
         const std::array<double, sim::kNumPowerEvents> &rates_per_s,
         double voltage) const PPEP_NONBLOCKING;
 
-    /** Same, taking a full event vector of per-second rates. */
-    double estimateFromRates(const sim::EventVector &rates_per_s,
-                             double voltage) const;
-
     /**
      * Split an estimate into the core part (E1..E7, voltage-scaled) and
      * the NB-proxy part (E8..E9) — used by the Fig. 10 core/NB energy
@@ -91,8 +87,8 @@ class DynamicPowerModel
     /**
      * The (V / Vtrain)^alpha factor applied to the core-event weights at
      * @p voltage. Callers sweeping many estimates at a fixed voltage
-     * (e.g. a per-VF exploration) should compute this once and use the
-     * *Scaled variants below — the pow() dominates a single estimate.
+     * (e.g. a per-VF exploration) should compute this once and use
+     * splitScaled() below — the pow() dominates a single estimate.
      */
     double voltageScale(double voltage) const PPEP_NONBLOCKING;
 
@@ -100,20 +96,6 @@ class DynamicPowerModel
     void splitScaled(
         const std::array<double, sim::kNumPowerEvents> &rates_per_s,
         double vscale, double &core_w, double &nb_w) const PPEP_NONBLOCKING;
-
-    /** estimate() with a precomputed voltageScale() factor. */
-    double estimateScaled(
-        const std::array<double, sim::kNumPowerEvents> &rates_per_s,
-        double vscale) const PPEP_NONBLOCKING;
-
-    /**
-     * split() reading the E1..E9 prefix of a full per-second event
-     * vector directly — spares callers the 9-element copy that pricing
-     * a PredictedCoreState otherwise needs.
-     */
-    void splitFromRates(const sim::EventVector &rates_per_s,
-                        double voltage, double &core_w,
-                        double &nb_w) const PPEP_NONBLOCKING;
 
     /** The weights repacked for the batched exploration kernel. */
     KernelWeights kernelWeights() const;

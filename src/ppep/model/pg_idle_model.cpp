@@ -92,24 +92,6 @@ PgIdleModel::components(std::size_t vf_index) const PPEP_NONBLOCKING
 }
 
 double
-PgIdleModel::perCoreIdle(std::size_t vf_index, bool pg_enabled,
-                         std::size_t busy_in_cu,
-                         std::size_t busy_in_chip) const PPEP_NONBLOCKING
-{
-    PPEP_ASSERT(busy_in_cu >= 1 && busy_in_chip >= busy_in_cu,
-                "inconsistent busy-core counts");
-    const auto &c = components(vf_index);
-    const double m = static_cast<double>(busy_in_cu);
-    const double n = static_cast<double>(busy_in_chip);
-    if (pg_enabled) {
-        // Eq. 7.
-        return c.p_cu / m + (c.p_nb + c.p_base) / n;
-    }
-    // Eq. 8: nothing gates, so all busy cores share the whole chip idle.
-    return (static_cast<double>(n_cus_) * c.p_cu + c.p_nb + c.p_base) / n;
-}
-
-double
 PgIdleModel::pNbAvg() const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(trained(), "PG idle model not trained");
@@ -140,28 +122,6 @@ PgIdleModel::chipIdleMixed(const std::vector<std::size_t> &cu_vf,
     }
     if (any_busy || !pg_enabled)
         total += pNbAvg();
-    return total;
-}
-
-double
-PgIdleModel::chipIdle(std::size_t vf_index, bool pg_enabled,
-                      const std::vector<std::size_t> &busy_per_cu) const
-{
-    PPEP_ASSERT(busy_per_cu.size() == n_cus_, "busy_per_cu size mismatch");
-    const auto &c = components(vf_index);
-    if (!pg_enabled) {
-        return static_cast<double>(n_cus_) * c.p_cu + c.p_nb + c.p_base;
-    }
-    double total = c.p_base;
-    bool any_busy = false;
-    for (std::size_t cu = 0; cu < n_cus_; ++cu) {
-        if (busy_per_cu[cu] > 0) {
-            total += c.p_cu;
-            any_busy = true;
-        }
-    }
-    if (any_busy)
-        total += c.p_nb;
     return total;
 }
 

@@ -12,9 +12,11 @@
  *   gap(0 busy CUs)  = n_cus * Pidle(CU) + Pidle(NB)    (NB gates too)
  *   Pidle(Base)      = PG-enabled fully-idle power
  *
- * Per-core idle attribution then follows Eq. 7 (PG on: busy cores in a CU
- * share that CU's idle power; all busy cores share NB + base) and Eq. 8
- * (PG off: all busy cores share the whole chip idle power).
+ * The paper's Eq. 7 (PG on: busy cores in a CU share that CU's idle
+ * power; all busy cores share NB + base) and Eq. 8 (PG off: all busy
+ * cores share the whole chip idle power) split these components across
+ * cores. runtime::TenantAttributor splits chipIdleMixed() by ownership
+ * instead, which equals Eq. 7/8 when every core is busy.
  */
 
 #ifndef PPEP_MODEL_PG_IDLE_MODEL_HPP
@@ -45,7 +47,7 @@ struct PgIdleComponents
     double p_base = 0.0; ///< Pidle(Base) — VF-independent in principle
 };
 
-/** The Eq. 7/8 per-core idle power model. */
+/** The Fig. 4 idle power decomposition behind Eqs. 7-8. */
 class PgIdleModel
 {
   public:
@@ -62,24 +64,6 @@ class PgIdleModel
     /** Components at a VF index. @pre trained and index known. */
     const PgIdleComponents &components(std::size_t vf_index) const PPEP_NONBLOCKING;
 
-    /**
-     * Eq. 7/8: idle power attributed to one busy core.
-     *
-     * @param pg_enabled     whether power gating is active.
-     * @param busy_in_cu     busy cores in this core's CU (m >= 1).
-     * @param busy_in_chip   busy cores chip-wide (n >= 1).
-     */
-    double perCoreIdle(std::size_t vf_index, bool pg_enabled,
-                       std::size_t busy_in_cu,
-                       std::size_t busy_in_chip) const PPEP_NONBLOCKING;
-
-    /**
-     * Total chip idle power under PG with the given per-CU busy-core
-     * counts (size n_cus; zero entries mean the CU is gated).
-     */
-    double chipIdle(std::size_t vf_index, bool pg_enabled,
-                    const std::vector<std::size_t> &busy_per_cu) const;
-
     /** Number of CUs the model was built for. */
     std::size_t cuCount() const { return n_cus_; }
 
@@ -95,9 +79,12 @@ class PgIdleModel
     double pBaseAvg() const PPEP_NONBLOCKING;
 
     /**
-     * Chip idle power for a *mixed* per-CU VF assignment under PG:
-     * base + NB (if any CU busy) + per-busy-CU Pidle(CU) at that CU's
-     * own VF. @pre pg semantics as in chipIdle().
+     * Chip idle power for a per-CU VF assignment (size n_cus each):
+     * pBaseAvg() always, plus pNbAvg() when the NB is awake, plus each
+     * counted CU's Pidle(CU) at that CU's own VF. With PG on, a CU
+     * counts only when it has a busy core and the NB is awake only
+     * when some CU is busy, so a fully idle chip costs the base alone.
+     * With PG off nothing gates: every CU and the NB count.
      */
     double chipIdleMixed(const std::vector<std::size_t> &cu_vf,
                          const std::vector<std::size_t> &busy_per_cu,

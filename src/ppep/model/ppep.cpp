@@ -91,52 +91,4 @@ Ppep::explore(const trace::IntervalRecord &rec) const
     return out;
 }
 
-AssignmentPrediction
-Ppep::predictAssignment(const trace::IntervalRecord &rec,
-                        const std::vector<std::size_t> &cu_vf,
-                        bool pg_enabled) const
-{
-    PPEP_ASSERT(pg_.trained(),
-                "per-CU assignment prediction needs the PG idle model");
-    PPEP_ASSERT(cu_vf.size() == cfg_.n_cus, "cu_vf size mismatch");
-    PPEP_ASSERT(rec.cu_vf.size() == cfg_.n_cus,
-                "record CU context mismatch");
-
-    AssignmentPrediction out;
-    out.cores.resize(rec.pmc.size());
-
-    std::vector<std::size_t> busy_per_cu(cfg_.n_cus, 0);
-    for (std::size_t c = 0; c < rec.pmc.size(); ++c) {
-        const std::size_t cu = c / cfg_.cores_per_cu;
-        const sim::VfState &now =
-            cfg_.vf_table.state(rec.cu_vf[cu]);
-        PPEP_ASSERT(cu_vf[cu] < plan_.size(),
-                    "assignment VF index outside the software table");
-        const double then_freq = plan_.freq_ghz[cu_vf[cu]];
-        const double then_vscale = plan_.vscale[cu_vf[cu]];
-        const PredictedCoreState pred = EventPredictor::predict(
-            rec.pmc[c], rec.duration_s, now.freq_ghz, then_freq);
-        CorePpe &core = out.cores[c];
-        core.cpi = pred.cpi;
-        core.ips = pred.ips;
-        core.busy = pred.ips > 0.0;
-        if (core.busy)
-            ++busy_per_cu[cu];
-        std::array<double, sim::kNumPowerEvents> rates{};
-        for (std::size_t i = 0; i < sim::kNumPowerEvents; ++i)
-            rates[i] = pred.rates_per_s[i];
-        // Per-CU voltage plane: this CU's own voltage prices its events.
-        core.dynamic_w =
-            power_.dynamicModel().estimateScaled(rates, then_vscale);
-        out.dynamic_w += core.dynamic_w;
-        if (core.busy)
-            out.total_ips += pred.rates_per_s[sim::eventIndex(
-                sim::Event::RetiredInst)];
-    }
-
-    out.idle_w = pg_.chipIdleMixed(cu_vf, busy_per_cu, pg_enabled);
-    out.chip_power_w = out.idle_w + out.dynamic_w;
-    return out;
-}
-
 } // namespace ppep::model

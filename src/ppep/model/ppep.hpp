@@ -56,16 +56,6 @@ struct VfPrediction
     std::vector<CorePpe> cores;
 };
 
-/** Prediction for a per-CU VF assignment (the capping use case). */
-struct AssignmentPrediction
-{
-    double chip_power_w = 0.0;
-    double idle_w = 0.0;
-    double dynamic_w = 0.0;
-    double total_ips = 0.0;
-    std::vector<CorePpe> cores;
-};
-
 /**
  * Caller-owned scratch for the allocation-free exploration path. Holds
  * the per-core observation buffer and the batched kernel's core×VF
@@ -86,8 +76,9 @@ class Ppep
     /**
      * @param cfg   chip description (topology + VF table).
      * @param power trained idle+dynamic chip power model.
-     * @param pg    trained PG idle decomposition; pass an untrained model
-     *              for chips without PG (global predictions still work).
+     * @param pg    trained PG idle decomposition, read by the per-CU
+     *              governors; pass an untrained model for chips without
+     *              PG (exploration still works).
      */
     Ppep(const sim::ChipConfig &cfg, ChipPowerModel power,
          PgIdleModel pg);
@@ -109,16 +100,6 @@ class Ppep
     void exploreInto(const trace::IntervalRecord &rec,
                      std::vector<VfPrediction> &out,
                      ExploreScratch &scratch) const PPEP_NONBLOCKING;
-
-    /**
-     * Prediction for a per-CU VF assignment, assuming per-CU voltage
-     * planes (the Sec. V-B capping assumption) and using the PG-aware
-     * idle decomposition. @pre the PG model is trained.
-     */
-    AssignmentPrediction
-    predictAssignment(const trace::IntervalRecord &rec,
-                      const std::vector<std::size_t> &cu_vf,
-                      bool pg_enabled) const;
 
     /** Underlying chip power model. */
     const ChipPowerModel &powerModel() const { return power_; }

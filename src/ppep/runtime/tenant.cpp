@@ -91,7 +91,7 @@ TenantAttributor::attributeInto(const trace::IntervalRecord &rec,
     }
     out.unattributed_w = 0.0;
 
-    // Busy topology (same busy test as model/per_core_power).
+    // Busy topology: a core is busy when it retired instructions.
     std::size_t busy_total = 0;
     for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu)
         out.busy_per_cu[cu] = 0;

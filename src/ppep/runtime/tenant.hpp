@@ -6,14 +6,17 @@
  * time-shares a chip with other tenants. Each interval, the chip's
  * predicted power is split across tenants using the models the paper
  * already provides: every busy core is charged its own Eq. 3 dynamic
- * power (as model/per_core_power does), and the chip idle power — the
- * Fig. 4 decomposition behind Eqs. 7-8 — is divided by *ownership*
- * rather than by busyness, so an all-idle tenant is still charged its
- * pg-idle share of the base/NB floor while gated CUs it owns cost it
- * nothing. The split mirrors PgIdleModel::chipIdleMixed() term for
- * term, so per-tenant totals plus the unattributed remainder reconcile
- * with the chip total to floating-point round-off (the invariant the
- * tenant soak test asserts at 1e-9 W).
+ * power from its private counters at its CU's voltage (the paper's
+ * Sec. IV-D per-core total), and the chip idle power — the Fig. 4
+ * decomposition behind Eqs. 7-8 — is divided by *ownership* rather
+ * than by busyness, so an all-idle tenant is still charged its pg-idle
+ * share of the base/NB floor while gated CUs it owns cost it nothing.
+ * When every core is busy the ownership split is the paper's Eq. 7
+ * (PG on) or Eq. 8 (PG off) per-core share. The split mirrors
+ * PgIdleModel::chipIdleMixed() term for term, so per-tenant totals
+ * plus the unattributed remainder reconcile with the chip total to
+ * floating-point round-off (the invariant the tenant soak test asserts
+ * at 1e-9 W).
  *
  * The warm path is allocation-free: TenantAttribution is sized once by
  * makeAttribution() and attributeInto() only writes through it.

@@ -125,21 +125,6 @@ TEST(DynModel, SplitPartsSumToEstimate)
     EXPECT_GT(nb, 0.0);
 }
 
-TEST(DynModel, EstimateFromRatesMatchesArray)
-{
-    ppep::util::Rng rng(7);
-    const auto rows = syntheticRows(kTruth, 500, 0.0, rng);
-    const auto m = DynamicPowerModel::train(rows, 1.32, 2.0);
-    sim::EventVector ev{};
-    std::array<double, sim::kNumPowerEvents> rates{};
-    for (std::size_t i = 0; i < sim::kNumPowerEvents; ++i) {
-        ev[i] = 3e8;
-        rates[i] = 3e8;
-    }
-    EXPECT_DOUBLE_EQ(m.estimateFromRates(ev, 1.2),
-                     m.estimate(rates, 1.2));
-}
-
 TEST(DynModel, PowerEventRatesDividesByDuration)
 {
     sim::EventVector ev{};
