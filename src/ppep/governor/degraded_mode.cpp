@@ -8,15 +8,10 @@
 namespace ppep::governor {
 
 DegradedModeGovernor::DegradedModeGovernor(const sim::Chip &chip,
-                                           Governor &inner,
-                                           HealthProbe probe,
-                                           SafePolicy policy)
-    : chip_(chip), inner_(&inner), probe_(std::move(probe)),
-      policy_(policy),
+                                           Governor &inner)
+    : chip_(chip), inner_(&inner),
       last_predicted_w_(std::numeric_limits<double>::quiet_NaN())
 {
-    PPEP_ASSERT(policy_.cap_guard >= 0.0 && policy_.cap_guard < 1.0,
-                "cap_guard in [0, 1)");
 }
 
 std::vector<std::size_t>
@@ -34,16 +29,6 @@ DegradedModeGovernor::decideInto(const trace::IntervalRecord &rec,
                                  std::vector<std::size_t> &out)
     PPEP_NONBLOCKING
 {
-    // The probe runs before anything else: at this point
-    // lastPredictedPower() still reports the forecast made for the
-    // interval in rec, which is what divergence tracking needs.
-    // rt-escape: std::function trampoline the effect analysis cannot
-    // see through; Session binds it to HealthMonitor::observe, which
-    // is pure arithmetic. RTSan still verifies the call at runtime.
-    PPEP_RT_OPAQUE_BEGIN
-    degraded_now_ = probe_ ? probe_(rec) : false;
-    PPEP_RT_OPAQUE_END
-
     if (!degraded_now_) {
         inner_->decideInto(rec, cap_w, out);
         last_predicted_w_ = inner_->lastPredictedPower();
@@ -67,7 +52,7 @@ DegradedModeGovernor::decideInto(const trace::IntervalRecord &rec,
         s = std::min(s, top);
     const bool near_cap =
         std::isfinite(cap_w) &&
-        rec.sensor_power_w > cap_w * (1.0 - policy_.cap_guard);
+        rec.sensor_power_w > cap_w * (1.0 - kCapGuard);
     if (near_cap) {
         for (auto &s : out)
             s = s > 0 ? s - 1 : 0;

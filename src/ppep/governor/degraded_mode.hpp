@@ -6,9 +6,9 @@
  * (fault storm, model divergence), acting on a sophisticated policy's
  * decisions is worse than acting on none: the PPEP exploration that
  * makes the inner governor smart is exactly what corrupted counters
- * poison. The wrapper consults a health probe at the top of every
- * decision and, while degraded, replaces the inner policy with a
- * conservative hold/step-down rule:
+ * poison. Before every decision its owner hands the wrapper a health
+ * verdict (setDegraded); while degraded, the wrapper replaces the
+ * inner policy with a conservative hold/step-down rule:
  *
  *  - never select a boost state (requests clamp to the software
  *    P-state table);
@@ -20,54 +20,39 @@
  *  - leave the NB untouched.
  *
  * Control returns to the inner governor the first decision after the
- * probe reports healthy (the runtime::HealthMonitor behind the probe
- * requires N consecutive clean intervals, so re-promotion is already
- * hysteretic).
+ * verdict reads healthy (runtime::Session takes it from a
+ * runtime::HealthMonitor, which requires N consecutive clean
+ * intervals, so re-promotion is already hysteretic).
  */
 
 #ifndef PPEP_GOVERNOR_DEGRADED_MODE_HPP
 #define PPEP_GOVERNOR_DEGRADED_MODE_HPP
 
-#include <functional>
-
 #include "ppep/governor/governor.hpp"
 
 namespace ppep::governor {
 
-/** Tuning for the degraded-mode safe policy. */
-struct SafePolicy
-{
-    /** Step down when measured power exceeds cap * (1 - cap_guard);
-     *  the margin absorbs sensor noise and the one-interval lag
-     *  between deciding and measuring. */
-    double cap_guard = 0.1;
-};
-
 /**
  * Wraps an inner Governor and demotes to the safe policy whenever the
- * health probe says the interval's data cannot be trusted.
+ * latest verdict says the interval's data cannot be trusted.
  */
 class DegradedModeGovernor : public Governor
 {
   public:
-    /**
-     * Health probe, evaluated once at the top of every decide() with
-     * the interval that just completed; true = govern in degraded
-     * mode this decision. runtime::Session binds this to a
-     * HealthMonitor fed by the hardened Sampler.
-     */
-    using HealthProbe =
-        std::function<bool(const trace::IntervalRecord &rec)>;
+    /** Step down when measured power exceeds cap * (1 - kCapGuard);
+     *  the margin absorbs sensor noise and the one-interval lag
+     *  between deciding and measuring. */
+    static constexpr double kCapGuard = 0.1;
+    static_assert(kCapGuard >= 0.0 && kCapGuard < 1.0,
+                  "cap guard in [0, 1)");
 
     /**
      * @param chip   consulted for the software P-state table only;
      *               must outlive the governor.
      * @param inner  the policy to run while healthy; must outlive
      *               the governor.
-     * @param probe  health probe (empty = always healthy).
      */
-    DegradedModeGovernor(const sim::Chip &chip, Governor &inner,
-                         HealthProbe probe, SafePolicy policy = {});
+    DegradedModeGovernor(const sim::Chip &chip, Governor &inner);
 
     std::vector<std::size_t>
     decide(const trace::IntervalRecord &rec, double cap_w) override;
@@ -88,14 +73,23 @@ class DegradedModeGovernor : public Governor
     /** Inner prediction while healthy; NaN while degraded. */
     double lastPredictedPower() const PPEP_NONBLOCKING override;
 
-    /** True when the most recent decision ran the safe policy. */
+    /**
+     * Govern the following decisions in degraded mode (true) or
+     * through the inner policy (false) until told otherwise; a wrapper
+     * never told starts healthy. runtime::Session sets this from its
+     * HealthMonitor right before each decision.
+     */
+    void setDegraded(bool degraded) PPEP_NONBLOCKING
+    {
+        degraded_now_ = degraded;
+    }
+
+    /** The verdict in force: true while decisions run the safe
+     *  policy. */
     bool degradedNow() const { return degraded_now_; }
 
     /** Decisions taken in degraded mode so far. */
     std::size_t degradedIntervals() const { return degraded_intervals_; }
-
-    /** The safe-policy tuning in force. */
-    const SafePolicy &safePolicy() const { return policy_; }
 
     /**
      * Re-point the wrapper at a fresh inner policy — the recalibration
@@ -110,8 +104,6 @@ class DegradedModeGovernor : public Governor
   private:
     const sim::Chip &chip_;
     Governor *inner_;
-    HealthProbe probe_;
-    SafePolicy policy_;
     bool degraded_now_ = false;
     std::size_t degraded_intervals_ = 0;
     double last_predicted_w_;

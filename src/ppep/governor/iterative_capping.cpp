@@ -3,9 +3,8 @@
 namespace ppep::governor {
 
 IterativeCappingGovernor::IterativeCappingGovernor(
-    const sim::ChipConfig &cfg, double raise_margin_w)
-    : cfg_(cfg), raise_margin_w_(raise_margin_w),
-      cu_vf_(cfg.n_cus, cfg.vf_table.top())
+    const sim::ChipConfig &cfg)
+    : cfg_(cfg), cu_vf_(cfg.n_cus, cfg.vf_table.top())
 {
 }
 
@@ -13,6 +12,11 @@ std::vector<std::size_t>
 IterativeCappingGovernor::decide(const trace::IntervalRecord &rec,
                                  double cap_w)
 {
+    // Raise a VF state only when measured power is at least this far
+    // under the cap, watts: the classic hysteresis band that also
+    // causes the baseline's residual cap violations when it guesses
+    // wrong.
+    constexpr double kRaiseMarginW = 8.0;
     const double power = rec.sensor_power_w;
     if (power > cap_w) {
         // Over budget: lower one CU by one state, round-robin so the
@@ -26,7 +30,7 @@ IterativeCappingGovernor::decide(const trace::IntervalRecord &rec,
                 break;
             }
         }
-    } else if (power < cap_w - raise_margin_w_) {
+    } else if (power < cap_w - kRaiseMarginW) {
         // Comfortably under: claw back performance, one step.
         for (std::size_t tries = 0; tries < cfg_.n_cus; ++tries) {
             const std::size_t cu = rr_;

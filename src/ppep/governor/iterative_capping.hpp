@@ -20,15 +20,8 @@ namespace ppep::governor {
 class IterativeCappingGovernor : public Governor
 {
   public:
-    /**
-     * @param cfg       chip description (CU count + VF table).
-     * @param raise_margin_w raise a VF state only when measured power is
-     *                  at least this far under the cap — the classic
-     *                  hysteresis band that also causes the baseline's
-     *                  residual cap violations when it guesses wrong.
-     */
-    explicit IterativeCappingGovernor(const sim::ChipConfig &cfg,
-                                      double raise_margin_w = 8.0);
+    /** @param cfg chip description (CU count + VF table). */
+    explicit IterativeCappingGovernor(const sim::ChipConfig &cfg);
 
     std::vector<std::size_t> decide(const trace::IntervalRecord &rec,
                                     double cap_w) override;
@@ -37,7 +30,6 @@ class IterativeCappingGovernor : public Governor
 
   private:
     const sim::ChipConfig &cfg_;
-    double raise_margin_w_;
     std::vector<std::size_t> cu_vf_;
     std::size_t rr_ = 0; ///< round-robin CU cursor
 };

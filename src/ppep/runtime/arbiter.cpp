@@ -19,9 +19,6 @@ FleetArbiter::configure(const ArbiterSpec &spec,
 {
     PPEP_ASSERT(!sessions.empty(), "arbiter has no session lanes");
     budget_ = spec.budget;
-    hysteresis_w_ = spec.hysteresis_w;
-    step_w_ = spec.step_w;
-    raise_margin_w_ = spec.raise_margin_w;
     n_ = sessions.size();
     stride_ = 1;
     for (const auto &s : sessions)
@@ -448,7 +445,7 @@ BudgetArbiter::decideImpl(std::size_t /*interval*/,
     double pred_sum = 0.0;
     for (std::size_t s = 0; s < n_; ++s) {
         double cap = alloc_w_[s];
-        if (cap > prev_cap_[s] && cap - prev_cap_[s] < hysteresis_w_)
+        if (cap > prev_cap_[s] && cap - prev_cap_[s] < kHysteresisW)
             cap = prev_cap_[s];
         caps_[s] = cap;
         prev_cap_[s] = cap;
@@ -465,6 +462,10 @@ void
 IterativeFleetArbiter::decideImpl(std::size_t /*interval*/,
                                   double next_budget_w) PPEP_NONBLOCKING
 {
+    // Watts stepped per interval, and the slack measured power must
+    // leave before caps step back up.
+    constexpr double kStepW = 2.0;
+    constexpr double kRaiseMarginW = 8.0;
     const double b = next_budget_w;
     if (!finiteBudget(b)) {
         for (std::size_t s = 0; s < n_; ++s)
@@ -492,16 +493,16 @@ IterativeFleetArbiter::decideImpl(std::size_t /*interval*/,
         // IterativeCappingGovernor's one-VF-state-per-interval search
         // the paper contrasts against.
         for (std::size_t s = 0; s < n_; ++s)
-            caps_[s] = std::max(floor_[s], caps_[s] - step_w_);
-    } else if (sum_measured < b - raise_margin_w_) {
+            caps_[s] = std::max(floor_[s], caps_[s] - kStepW);
+    } else if (sum_measured < b - kRaiseMarginW) {
         double cap_sum = 0.0;
         for (std::size_t s = 0; s < n_; ++s)
             cap_sum += caps_[s];
         for (std::size_t s = 0; s < n_; ++s) {
-            if (cap_sum + step_w_ > b)
+            if (cap_sum + kStepW > b)
                 break;
-            caps_[s] += step_w_;
-            cap_sum += step_w_;
+            caps_[s] += kStepW;
+            cap_sum += kStepW;
         }
     }
     headroom_last_ = b - sum_measured;

@@ -104,16 +104,9 @@ struct ArbiterSpec
      *  without an explicit FleetSessionSpec::tier are assigned
      *  round-robin (session index mod tier count). */
     std::vector<ArbiterTierSpec> tiers;
-    /** Suppress cap *raises* smaller than this (lowering always
-     *  applies), so near-balanced allocations don't thrash. */
-    double hysteresis_w = 0.5;
     /** Use the iterative reactive baseline instead of the single-pass
      *  predictive sweep. */
     bool iterative = false;
-    /** Iterative baseline: watts stepped down per over-budget
-     *  interval, and the slack required before stepping back up. */
-    double step_w = 2.0;
-    double raise_margin_w = 8.0;
     /** Optional per-interval hook (soak tests, live dashboards). */
     ArbiterObserver observer;
 };
@@ -256,9 +249,6 @@ class FleetArbiter
     // --- configuration (immutable after configure()) -----------------
     ppep::governor::CapSchedule budget_ =
         ppep::governor::CapSchedule::unlimited();
-    double hysteresis_w_ = 0.5;
-    double step_w_ = 2.0;
-    double raise_margin_w_ = 8.0;
     std::size_t n_ = 0;      ///< session lanes
     std::size_t stride_ = 0; ///< widest per-session VF row
     std::vector<double> priority_;
@@ -309,8 +299,8 @@ class FleetArbiter
  * priority-weighted score order, granting each step while both the
  * global and the session's tier budget allow it. Freeze-on-skip keeps
  * each session's allocation on its hull; leftover headroom is split by
- * priority within tier limits; hysteresis suppresses sub-threshold cap
- * raises. Sessions with no exploration this interval (interval 0,
+ * priority within tier limits; hysteresis suppresses cap raises under
+ * kHysteresisW. Sessions with no exploration this interval (interval 0,
  * degraded governors, failed builds) fall back to a
  * priority-proportional blind share. When the SLO floors alone exceed
  * the budget, every cap scales proportionally and the interval counts
@@ -319,6 +309,10 @@ class FleetArbiter
 class BudgetArbiter final : public FleetArbiter
 {
   public:
+    /** Suppress cap *raises* smaller than this, watts (lowering always
+     *  applies), so near-balanced allocations don't thrash. */
+    static constexpr double kHysteresisW = 0.5;
+
     const char *policyName() const override { return "single-pass"; }
 
   protected:
@@ -351,9 +345,9 @@ class BudgetArbiter final : public FleetArbiter
 /**
  * The retained reactive baseline (fleet-scale
  * governor/iterative_capping): start from a priority-proportional
- * split, step every cap down by step_w while the measured fleet power
- * exceeds the budget, step back up only when measured power leaves
- * raise_margin_w of slack. Converges over several intervals after a
+ * split, step every cap down by 2 W while the measured fleet power
+ * exceeds the budget, step back up 2 W at a time only when measured
+ * power leaves 8 W of slack. Converges over several intervals after a
  * budget drop — the Fig. 7 comparison point for the single-pass
  * BudgetArbiter.
  */

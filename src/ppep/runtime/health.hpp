@@ -12,9 +12,8 @@
  *    an EWMA so a single glitch does not flip the verdict.
  *
  * A demotion latches: the system stays degraded until it has seen
- * policy.repromote_clean consecutive clean intervals. The
- * DegradedModeGovernor consults the verdict at the top of every
- * decision.
+ * kRepromoteClean consecutive clean intervals. runtime::Session hands
+ * the verdict to the DegradedModeGovernor before every decision.
  */
 
 #ifndef PPEP_RUNTIME_HEALTH_HPP
@@ -27,32 +26,33 @@
 
 namespace ppep::runtime {
 
-/** Demotion/re-promotion thresholds. */
-struct HealthPolicy
-{
-    /** EWMA smoothing factor for |predicted - measured| power. */
-    double ewma_alpha = 0.25;
-
-    /** Demote when the divergence EWMA exceeds this, watts. */
-    double demote_divergence_w = 15.0;
-
-    /** Demote when one interval records at least this many fault
-     *  events (Sampler interventions). */
-    std::size_t demote_fault_events = 3;
-
-    /** Consecutive clean intervals required to re-promote. */
-    std::size_t repromote_clean = 5;
-
-    /** An interval only counts as clean if the divergence EWMA is
-     *  back under this, watts (hysteresis below the demote level). */
-    double clean_divergence_w = 8.0;
-};
-
 /** Latching healthy/degraded state machine fed once per interval. */
 class HealthMonitor
 {
   public:
-    explicit HealthMonitor(HealthPolicy policy = {});
+    /** EWMA smoothing factor for |predicted - measured| power. */
+    static constexpr double kEwmaAlpha = 0.25;
+
+    /** Demote when the divergence EWMA exceeds this, watts. */
+    static constexpr double kDemoteDivergenceW = 15.0;
+
+    /** Demote when one interval records at least this many fault
+     *  events (Sampler interventions). */
+    static constexpr std::size_t kDemoteFaultEvents = 3;
+
+    /** Consecutive clean intervals required to re-promote. */
+    static constexpr std::size_t kRepromoteClean = 5;
+
+    /** An interval only counts as clean if the divergence EWMA is
+     *  back under this, watts (hysteresis below the demote level). */
+    static constexpr double kCleanDivergenceW = 8.0;
+
+    static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0,
+                  "EWMA alpha in (0, 1]");
+    static_assert(kCleanDivergenceW <= kDemoteDivergenceW,
+                  "clean threshold must not exceed demote threshold");
+    static_assert(kRepromoteClean >= 1,
+                  "re-promotion needs at least one clean interval");
 
     /**
      * Account one completed interval.
@@ -90,7 +90,7 @@ class HealthMonitor
      * A recalibrated model was just swapped in: the divergence history
      * was earned by the retired model, so the EWMA restarts from zero
      * and the clean streak with it. The degraded latch is untouched —
-     * re-promotion still requires repromote_clean genuinely clean
+     * re-promotion still requires kRepromoteClean genuinely clean
      * intervals under the incoming model.
      */
     void noteModelSwap() PPEP_NONBLOCKING
@@ -103,11 +103,7 @@ class HealthMonitor
     /** Model swaps noted so far. */
     std::size_t modelSwaps() const { return model_swaps_; }
 
-    /** The thresholds in force. */
-    const HealthPolicy &policy() const { return policy_; }
-
   private:
-    HealthPolicy policy_;
     bool degraded_ = false;
     double divergence_ewma_ = 0.0;
     std::size_t clean_streak_ = 0;

@@ -48,6 +48,7 @@
 #include "ppep/governor/governor.hpp"
 #include "ppep/model/ppep.hpp"
 #include "ppep/model/trainer.hpp"
+#include "ppep/runtime/health.hpp"
 #include "ppep/sim/chip_config.hpp"
 #include "ppep/sim/events.hpp"
 #include "ppep/trace/interval.hpp"
@@ -58,8 +59,8 @@ namespace ppep::runtime {
 struct RecalibrationPolicy
 {
     /** Trigger a refit when the divergence EWMA exceeds this, watts.
-     *  Keep it below HealthPolicy::demote_divergence_w so healing
-     *  starts before the session has to degrade. */
+     *  The default sits below HealthMonitor::kDemoteDivergenceW so
+     *  healing starts before the session has to degrade. */
     double recal_divergence_w = 10.0;
 
     /** Ring capacity: intervals of history a refit can see. */
@@ -90,6 +91,10 @@ struct RecalibrationPolicy
     /** Adopted-generation cap; 0 = unlimited. */
     std::size_t max_generations = 0;
 };
+
+static_assert(RecalibrationPolicy{}.recal_divergence_w <
+                  HealthMonitor::kDemoteDivergenceW,
+              "the default refit trigger must fire before demotion");
 
 /**
  * Rebuilds the session's policy against a recalibrated model set.

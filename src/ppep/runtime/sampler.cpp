@@ -4,11 +4,25 @@
 #include <cmath>
 #include <span>
 
-#include "ppep/util/logging.hpp"
-
 namespace ppep::runtime {
 
 namespace {
+
+/** Plausible sensor-power window, watts. Outside = glitch. */
+constexpr double kMinPowerW = 0.0;
+constexpr double kMaxPowerW = 1000.0;
+static_assert(kMinPowerW < kMaxPowerW, "power window must be non-empty");
+
+/** CPI plausibility window for a core that retired instructions;
+ *  outside it the counter set is treated as corrupted (wraparound
+ *  makes CPI absurdly small, saturation absurdly large). */
+constexpr double kMinCpi = 0.05;
+constexpr double kMaxCpi = 500.0;
+static_assert(kMinCpi < kMaxCpi, "CPI window must be non-empty");
+
+/** Per-tick event-count ceiling as a multiple of the fastest state's
+ *  cycles per interval; counts above it are corrupt. */
+constexpr double kMaxEventsPerCycle = 8.0;
 
 /**
  * Interval mean of the samples inside [lo, hi]. Per-sample sanity
@@ -40,18 +54,13 @@ guardedMean(std::span<const double> samples, double lo, double hi,
 
 } // namespace
 
-Sampler::Sampler(sim::Chip &chip, SamplerPolicy policy)
-    : chip_(chip), policy_(policy), collector_(chip),
+Sampler::Sampler(sim::Chip &chip)
+    : chip_(chip), collector_(chip),
       last_good_pmc_(chip.config().coreCount(), sim::EventVector{}),
       staleness_(chip.config().coreCount(), 0),
       last_good_power_w_(0.0),
       last_good_temp_k_(chip.config().thermal.ambient_k)
 {
-    PPEP_ASSERT(policy_.staleness_budget >= 1, "staleness budget >= 1");
-    PPEP_ASSERT(policy_.min_temp_k < policy_.max_temp_k &&
-                    policy_.min_power_w < policy_.max_power_w &&
-                    policy_.min_cpi < policy_.max_cpi,
-                "sampler plausibility windows must be non-empty");
 }
 
 bool
@@ -65,7 +74,7 @@ Sampler::countsPlausible(const sim::EventVector &counts,
     // The most cycles a core can physically accumulate, with headroom
     // for multiplexing extrapolation overshoot.
     const double max_cycles = max_freq_ghz * 1e9 * duration_s * 1.25;
-    const double ceiling = max_cycles * policy_.max_events_per_cycle;
+    const double ceiling = max_cycles * kMaxEventsPerCycle;
     for (double v : counts) {
         if (!std::isfinite(v) || v < 0.0 || v > ceiling)
             return false;
@@ -80,7 +89,7 @@ Sampler::countsPlausible(const sim::EventVector &counts,
         // Wraparound makes CPI absurdly small, saturation absurdly
         // large; either way the set is corrupt.
         const double cpi = cycles / inst;
-        if (cpi < policy_.min_cpi || cpi > policy_.max_cpi)
+        if (cpi < kMinCpi || cpi > kMaxCpi)
             return false;
     }
     return true;
@@ -109,12 +118,12 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
 
     collector_.runTicks(n_ticks, rec);
 
-    rec.sensor_power_w = guardedMean(
-        collector_.sensorSamples(), policy_.min_power_w,
-        policy_.max_power_w, health_.sensor_rejects, last_good_power_w_);
-    rec.diode_temp_k = guardedMean(
-        collector_.diodeSamples(), policy_.min_temp_k, policy_.max_temp_k,
-        health_.diode_rejects, last_good_temp_k_);
+    rec.sensor_power_w =
+        guardedMean(collector_.sensorSamples(), kMinPowerW, kMaxPowerW,
+                    health_.sensor_rejects, last_good_power_w_);
+    rec.diode_temp_k =
+        guardedMean(collector_.diodeSamples(), kMinTempK, kMaxTempK,
+                    health_.diode_rejects, last_good_temp_k_);
 
     // Counter read-out: bounded retry, window normalisation, sanity
     // guards, then last-good substitution under a staleness budget.
@@ -127,7 +136,7 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
         sim::EventVector counts{};
         bool read_ok = false;
         for (std::size_t attempt = 0;
-             attempt <= policy_.max_read_retries && !read_ok;
+             attempt <= kMaxReadRetries && !read_ok;
              ++attempt) {
             if (chip_.tryReadPmc(c, counts))
                 read_ok = true;
@@ -156,7 +165,7 @@ Sampler::collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
             rec.pmc[c] = counts;
             last_good_pmc_[c] = counts;
             staleness_[c] = 0;
-        } else if (staleness_[c] < policy_.staleness_budget) {
+        } else if (staleness_[c] < kStalenessBudget) {
             // Stale-but-sane beats fresh-but-corrupt, within budget.
             ++staleness_[c];
             ++health_.substituted_cores;

@@ -17,7 +17,7 @@
  *    of counter sets corrupted by wraparound or saturation;
  *  - last-good substitution with a staleness budget: a core whose
  *    counters cannot be trusted reports its last sane interval, up to
- *    policy.staleness_budget intervals, after which it degrades to the
+ *    kStalenessBudget intervals, after which it degrades to the
  *    defined all-zero (halted-core) sentinel rather than stale lies;
  *  - interval-timing tolerance: jittered/overrun intervals report their
  *    true duration so downstream rate math stays correct.
@@ -39,40 +39,25 @@
 
 namespace ppep::runtime {
 
-/** Acquisition limits and plausibility windows. */
-struct SamplerPolicy
-{
-    /** Retries after a failed PMC read-out (attempts = retries + 1). */
-    std::size_t max_read_retries = 3;
-
-    /** Intervals a core may substitute last-good counts before it
-     *  degrades to the all-zero halted sentinel. */
-    std::size_t staleness_budget = 5;
-
-    /** Plausible thermal-diode window, kelvin. Outside = glitch. */
-    double min_temp_k = 230.0;
-    double max_temp_k = 420.0;
-
-    /** Plausible sensor-power window, watts. Outside = glitch. */
-    double min_power_w = 0.0;
-    double max_power_w = 1000.0;
-
-    /** CPI plausibility window for a core that retired instructions;
-     *  outside it the counter set is treated as corrupted (wraparound
-     *  makes CPI absurdly small, saturation absurdly large). */
-    double min_cpi = 0.05;
-    double max_cpi = 500.0;
-
-    /** Per-tick event-count ceiling as a multiple of the fastest
-     *  state's cycles per interval; counts above it are corrupt. */
-    double max_events_per_cycle = 8.0;
-};
-
 /** Hardened tick-accurate interval acquisition bound to one chip. */
 class Sampler : public trace::IntervalSource
 {
   public:
-    explicit Sampler(sim::Chip &chip, SamplerPolicy policy = {});
+    /** Retries after a failed PMC read-out (attempts = retries + 1). */
+    static constexpr std::size_t kMaxReadRetries = 3;
+
+    /** Intervals a core may substitute last-good counts before it
+     *  degrades to the all-zero halted sentinel. */
+    static constexpr std::size_t kStalenessBudget = 5;
+
+    /** Plausible thermal-diode window, kelvin. Outside = glitch. */
+    static constexpr double kMinTempK = 230.0;
+    static constexpr double kMaxTempK = 420.0;
+
+    static_assert(kStalenessBudget >= 1, "staleness budget >= 1");
+    static_assert(kMinTempK < kMaxTempK, "diode window must be non-empty");
+
+    explicit Sampler(sim::Chip &chip);
 
     /** Run one interval with the full retry/guard/substitute path. */
     void collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
@@ -82,16 +67,12 @@ class Sampler : public trace::IntervalSource
     const trace::SampleHealth &lastHealth() const { return health_; }
     const trace::SampleHealth *health() const override { return &health_; }
 
-    /** The acquisition policy in force. */
-    const SamplerPolicy &policy() const { return policy_; }
-
   private:
     /** True when a counter set passes the sanity guards. */
     bool countsPlausible(const sim::EventVector &counts,
                          double duration_s) const PPEP_NONBLOCKING;
 
     sim::Chip &chip_;
-    SamplerPolicy policy_;
     trace::SampleHealth health_;
     /** The tick loop and its scratch. */
     trace::Collector collector_;

@@ -347,23 +347,9 @@ Session::Builder::build()
     if (plan_ || recal_policy_) {
         state->sampler.emplace(*state->chip);
         state->monitor.emplace();
-        State *st = state.get();
-        // The probe runs at the top of every decide(), when the
-        // wrapper's lastPredictedPower() is still the forecast made
-        // for the interval in rec — exactly what divergence needs.
         state->degraded_gov =
             std::make_unique<governor::DegradedModeGovernor>(
-                *state->chip, *state->gov,
-                [st](const trace::IntervalRecord &rec) {
-                    // A replayed stream without a health block reads
-                    // as clean acquisition.
-                    const trace::SampleHealth *h = st->source->health();
-                    st->monitor->observe(
-                        h ? *h : trace::SampleHealth{},
-                        st->degraded_gov->lastPredictedPower(),
-                        rec.sensor_power_w);
-                    return st->monitor->degraded();
-                });
+                *state->chip, *state->gov);
         state->gov = state->degraded_gov.get();
     }
 
@@ -473,6 +459,17 @@ Session::decide(double cap_limit_w)
 {
     auto &s = *state_;
     s.loop->setCapLimit(cap_limit_w);
+    if (s.monitor) {
+        // Score the interval just collected before deciding the next:
+        // the wrapper's lastPredictedPower() is still the forecast
+        // made for it. A replayed stream without a health block reads
+        // as clean acquisition.
+        const trace::SampleHealth *h = s.source->health();
+        s.monitor->observe(h ? *h : trace::SampleHealth{},
+                           s.degraded_gov->lastPredictedPower(),
+                           s.step.rec.sensor_power_w);
+        s.degraded_gov->setDegraded(s.monitor->degraded());
+    }
     double latency_s = 0.0;
     s.loop->cycleDecide(s.index, s.schedule, s.step, s.next_vf,
                         latency_s);

@@ -171,7 +171,7 @@ class Session
          * Install a hardware fault plan on the chip and switch the
          * run onto the hardened path: Sampler acquisition,
          * HealthMonitor accounting, and a degraded-mode wrapper
-         * around the policy, each with its default policy. An
+         * around the policy, all on their fixed thresholds. An
          * all-zero plan exercises the hardened path against perfect
          * hardware.
          */

@@ -444,9 +444,9 @@ SummarySink::onInterval(const IntervalTelemetry &t)
             tenant_energy_j_.resize(a.total_w.size(), 0.0);
             tenant_power_sum_w_.resize(a.total_w.size(), 0.0);
         }
-        for (std::size_t i = 0; i < a.total_w.size(); ++i) {
-            tenant_energy_j_[i] += a.total_w[i] * t.rec->duration_s;
-            tenant_power_sum_w_[i] += a.total_w[i];
+        for (std::size_t k = 0; k < a.total_w.size(); ++k) {
+            tenant_energy_j_[k] += a.total_w[k] * t.rec->duration_s;
+            tenant_power_sum_w_[k] += a.total_w[k];
         }
         unattributed_energy_j_ +=
             a.unattributed_w * t.rec->duration_s;

@@ -28,8 +28,7 @@
  *
  *  - PPEP_RT_OPAQUE_BEGIN/END marks a call the effect analysis cannot
  *    see through but that is non-blocking in practice (std::to_chars,
- *    steady_clock::now, a std::function trampoline over a non-blocking
- *    callee). It suppresses only the compile-time diagnostic; RTSan
+ *    std::sort over a raw array, steady_clock::now). It suppresses only the compile-time diagnostic; RTSan
  *    still instruments the region at runtime, so a lie here is caught
  *    by the PPEP_SANITIZE=realtime CI job.
  *

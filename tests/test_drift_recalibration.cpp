@@ -125,7 +125,7 @@ TEST(DriftSoak, TenThousandIntervalsHealAndReconverge)
     const auto *mon = session.healthMonitor();
     ASSERT_NE(mon, nullptr);
     EXPECT_FALSE(mon->degraded());
-    EXPECT_LT(mon->divergenceEwma(), mon->policy().clean_divergence_w);
+    EXPECT_LT(mon->divergenceEwma(), runtime::HealthMonitor::kCleanDivergenceW);
     EXPECT_EQ(mon->demotions(), 0u);
     EXPECT_GE(mon->modelSwaps(), 1u);
 
@@ -136,7 +136,7 @@ TEST(DriftSoak, TenThousandIntervalsHealAndReconverge)
         EXPECT_GE(probe.generation[i], 1u) << "interval " << i;
     }
     EXPECT_LT(probe.divergence.back(),
-              mon->policy().clean_divergence_w);
+              runtime::HealthMonitor::kCleanDivergenceW);
 }
 
 TEST(DriftSoak, FastDriftDemotesThenHealsAndRepromotes)
@@ -160,7 +160,7 @@ TEST(DriftSoak, FastDriftDemotesThenHealsAndRepromotes)
     EXPECT_GE(mon->repromotions(), 1u);
     EXPECT_GE(mon->modelSwaps(), 1u);
     EXPECT_FALSE(mon->degraded());
-    EXPECT_LT(mon->divergenceEwma(), mon->policy().clean_divergence_w);
+    EXPECT_LT(mon->divergenceEwma(), runtime::HealthMonitor::kCleanDivergenceW);
 
     // Once healed on the clamped (stationary) chip, it stays healed.
     ASSERT_EQ(probe.degraded.size(), 2000u);

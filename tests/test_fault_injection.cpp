@@ -147,8 +147,7 @@ TEST(FaultSoak, DegradedDecisionsHoldOrStepDown)
     const std::size_t n = 2000;
     const auto steps = session.run(n);
     const std::size_t top = cfg.vf_table.size() - 1;
-    const auto &guard =
-        session.degradedGovernor()->safePolicy().cap_guard;
+    const double guard = governor::DegradedModeGovernor::kCapGuard;
 
     std::size_t degraded_checked = 0;
     for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -251,7 +250,7 @@ TEST(FaultSoak, ModelDivergenceDemotesAPredictiveGovernor)
     // divergence EWMA.
     EXPECT_GE(mon->demotions(), 1u);
     EXPECT_GT(mon->divergenceEwma(),
-              mon->policy().clean_divergence_w);
+              runtime::HealthMonitor::kCleanDivergenceW);
     EXPECT_GT(session.degradedGovernor()->degradedIntervals(), 0u);
 }
 

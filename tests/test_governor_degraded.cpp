@@ -17,7 +17,6 @@ namespace {
 
 using namespace ppep;
 using governor::DegradedModeGovernor;
-using governor::SafePolicy;
 
 /** Scripted inner policy that records what reaches it. */
 class MockGovernor : public governor::Governor
@@ -54,17 +53,7 @@ struct Fixture
     sim::ChipConfig cfg = sim::fx8320Config();
     sim::Chip chip{cfg, 1};
     MockGovernor inner;
-    bool degraded = false;
-
-    DegradedModeGovernor
-    make(SafePolicy policy = {})
-    {
-        return DegradedModeGovernor(
-            chip, inner, [this](const trace::IntervalRecord &) {
-                return degraded;
-            },
-            policy);
-    }
+    DegradedModeGovernor gov{chip, inner};
 
     /** An interval record at a uniform VF with a given power. */
     trace::IntervalRecord
@@ -81,7 +70,7 @@ TEST(DegradedMode, HealthyDelegatesEverything)
 {
     Fixture fx;
     fx.inner.next_decision.assign(fx.cfg.n_cus, 2);
-    auto gov = fx.make();
+    auto &gov = fx.gov;
 
     const auto vf = gov.decide(fx.record(3, 50.0), 95.0);
     EXPECT_EQ(vf, fx.inner.next_decision);
@@ -97,8 +86,8 @@ TEST(DegradedMode, HealthyDelegatesEverything)
 TEST(DegradedMode, DegradedHoldsTheCurrentOperatingPoint)
 {
     Fixture fx;
-    fx.degraded = true;
-    auto gov = fx.make();
+    auto &gov = fx.gov;
+    gov.setDegraded(true);
 
     // Power comfortably under the cap: hold, don't consult the inner
     // policy at all.
@@ -112,10 +101,11 @@ TEST(DegradedMode, DegradedHoldsTheCurrentOperatingPoint)
 TEST(DegradedMode, DegradedStepsDownInsideTheGuardBand)
 {
     Fixture fx;
-    fx.degraded = true;
-    auto gov = fx.make();
+    auto &gov = fx.gov;
+    gov.setDegraded(true);
 
-    // cap_guard = 0.1: 90 W cap means stepping starts above 81 W.
+    // kCapGuard = 0.1: 90 W cap means stepping starts above 81 W.
+    static_assert(DegradedModeGovernor::kCapGuard == 0.1);
     const auto vf = gov.decide(fx.record(3, 85.0), 90.0);
     EXPECT_EQ(vf, std::vector<std::size_t>(fx.cfg.n_cus, 2));
 }
@@ -123,8 +113,8 @@ TEST(DegradedMode, DegradedStepsDownInsideTheGuardBand)
 TEST(DegradedMode, DegradedFloorsAtTheSlowestState)
 {
     Fixture fx;
-    fx.degraded = true;
-    auto gov = fx.make();
+    auto &gov = fx.gov;
+    gov.setDegraded(true);
 
     const auto vf = gov.decide(fx.record(0, 200.0), 90.0);
     EXPECT_EQ(vf, std::vector<std::size_t>(fx.cfg.n_cus, 0));
@@ -133,8 +123,8 @@ TEST(DegradedMode, DegradedFloorsAtTheSlowestState)
 TEST(DegradedMode, DegradedClampsBoostRequestsToTheTable)
 {
     Fixture fx;
-    fx.degraded = true;
-    auto gov = fx.make();
+    auto &gov = fx.gov;
+    gov.setDegraded(true);
 
     // The interval ran at a boost index (>= vf_table.size()); holding
     // it would keep an untrustworthy system in boost. The safe policy
@@ -148,8 +138,8 @@ TEST(DegradedMode, DegradedClampsBoostRequestsToTheTable)
 TEST(DegradedMode, DegradedSuppressesPredictionAndExploration)
 {
     Fixture fx;
-    fx.degraded = true;
-    auto gov = fx.make();
+    auto &gov = fx.gov;
+    gov.setDegraded(true);
     gov.decide(fx.record(3, 50.0), 95.0);
 
     EXPECT_TRUE(std::isnan(gov.lastPredictedPower()));
@@ -161,15 +151,15 @@ TEST(DegradedMode, RepromotionReturnsControlToTheInnerPolicy)
 {
     Fixture fx;
     fx.inner.next_decision.assign(fx.cfg.n_cus, 4);
-    auto gov = fx.make();
+    auto &gov = fx.gov;
 
-    fx.degraded = true;
+    gov.setDegraded(true);
     gov.decide(fx.record(3, 50.0), 95.0);
     gov.decide(fx.record(3, 50.0), 95.0);
     EXPECT_EQ(gov.degradedIntervals(), 2u);
     EXPECT_EQ(fx.inner.decide_calls, 0u);
 
-    fx.degraded = false;
+    gov.setDegraded(false);
     const auto vf = gov.decide(fx.record(3, 50.0), 95.0);
     EXPECT_EQ(vf, fx.inner.next_decision);
     EXPECT_FALSE(gov.degradedNow());
@@ -181,8 +171,8 @@ TEST(DegradedMode, RepromotionReturnsControlToTheInnerPolicy)
 TEST(DegradedMode, UncappedRunsNeverStepDown)
 {
     Fixture fx;
-    fx.degraded = true;
-    auto gov = fx.make();
+    auto &gov = fx.gov;
+    gov.setDegraded(true);
 
     // CapSchedule::unlimited() hands decide() a huge-but-finite cap;
     // the guard band must not fire on any physical power.
@@ -191,29 +181,21 @@ TEST(DegradedMode, UncappedRunsNeverStepDown)
     EXPECT_EQ(vf, std::vector<std::size_t>(fx.cfg.n_cus, 3));
 }
 
-TEST(DegradedMode, EmptyProbeMeansAlwaysHealthy)
+TEST(DegradedMode, NeverToldDegradedDelegates)
 {
     Fixture fx;
     fx.inner.next_decision.assign(fx.cfg.n_cus, 1);
-    DegradedModeGovernor gov(fx.chip, fx.inner, nullptr);
-    const auto vf = gov.decide(fx.record(3, 500.0), 10.0);
+    // Far over the cap: the safe policy would step down, but nobody
+    // has set a degraded verdict.
+    const auto vf = fx.gov.decide(fx.record(3, 500.0), 10.0);
     EXPECT_EQ(vf, fx.inner.next_decision);
-    EXPECT_FALSE(gov.degradedNow());
+    EXPECT_FALSE(fx.gov.degradedNow());
 }
 
 TEST(DegradedMode, NameWrapsTheInnerName)
 {
     Fixture fx;
-    auto gov = fx.make();
-    EXPECT_EQ(gov.name(), "degraded-mode(mock)");
-}
-
-TEST(DegradedModeDeath, CapGuardOutsideUnitRangeIsFatal)
-{
-    Fixture fx;
-    SafePolicy bad;
-    bad.cap_guard = 1.0;
-    EXPECT_DEATH(fx.make(bad), "cap_guard");
+    EXPECT_EQ(fx.gov.name(), "degraded-mode(mock)");
 }
 
 } // namespace

@@ -192,9 +192,10 @@ TEST(Arbiter, TierBudgetsConstrainTheirSessions)
 
 TEST(Arbiter, HysteresisSuppressesSmallRaisesButNeverLowering)
 {
+    static_assert(BudgetArbiter::kHysteresisW == 0.5);
     ArbiterSpec spec;
-    spec.budget = CapSchedule({{0, 24.0}, {2, 27.0}, {3, 20.0}});
-    spec.hysteresis_w = 5.0;
+    spec.budget = CapSchedule(
+        {{0, 24.0}, {2, 24.5}, {3, 25.0}, {4, 26.0}, {5, 20.0}});
     const auto arb =
         runtime::makeArbiter(spec, {setupOf(), setupOf()});
     const auto strong = concaveLane(1.0);
@@ -208,13 +209,21 @@ TEST(Arbiter, HysteresisSuppressesSmallRaisesButNeverLowering)
     EXPECT_DOUBLE_EQ(arb->capOf(0), 14.0);
     EXPECT_DOUBLE_EQ(arb->capOf(1), 10.0);
     feed();
-    decideSerial(*arb, 1); // next budget 27: +1.5 W raises, under threshold
-    EXPECT_DOUBLE_EQ(arb->capOf(0), 14.0);
-    EXPECT_DOUBLE_EQ(arb->capOf(1), 10.0);
+    decideSerial(*arb, 1); // next budget 24.5: +0.25 W raises, suppressed
+    EXPECT_EQ(arb->capOf(0), 14.0);
+    EXPECT_EQ(arb->capOf(1), 10.0);
     feed();
-    decideSerial(*arb, 2); // next budget 20: lowering always applies
-    EXPECT_DOUBLE_EQ(arb->capOf(0), 10.0);
-    EXPECT_DOUBLE_EQ(arb->capOf(1), 10.0);
+    decideSerial(*arb, 2); // next budget 25: +0.5 W raises, on the line
+    EXPECT_EQ(arb->capOf(0), 14.5);
+    EXPECT_EQ(arb->capOf(1), 10.5);
+    feed();
+    decideSerial(*arb, 3); // next budget 26: +0.5 W again from there
+    EXPECT_EQ(arb->capOf(0), 15.0);
+    EXPECT_EQ(arb->capOf(1), 11.0);
+    feed();
+    decideSerial(*arb, 4); // next budget 20: lowering always applies
+    EXPECT_EQ(arb->capOf(0), 10.0);
+    EXPECT_EQ(arb->capOf(1), 10.0);
 }
 
 TEST(Arbiter, BlindLanesFallBackToPriorityShare)
@@ -298,7 +307,7 @@ TEST(Arbiter, IterativeBaselineStepsReactively)
     EXPECT_STREQ(arb->policyName(), "iterative");
     const auto rows = concaveLane();
     // Over budget: the initial proportional split (15 + 15) steps
-    // down by step_w every interval the measured sum stays high.
+    // down by 2 W every interval the measured sum stays high.
     arb->gather(0, rows.data(), rows.size(), 20.0);
     arb->gather(1, rows.data(), rows.size(), 20.0);
     decideSerial(*arb, 0);

@@ -62,7 +62,7 @@ TEST(HealthMonitor, DemotesOnFaultBurst)
     HealthMonitor mon;
     mon.observe(cleanInterval(), 60.0, 60.0);
     EXPECT_FALSE(mon.degraded());
-    mon.observe(faultyInterval(mon.policy().demote_fault_events), 60.0,
+    mon.observe(faultyInterval(HealthMonitor::kDemoteFaultEvents), 60.0,
                 60.0);
     EXPECT_TRUE(mon.degraded());
     EXPECT_EQ(mon.demotions(), 1u);
@@ -73,7 +73,7 @@ TEST(HealthMonitor, FaultsBelowThresholdDoNotDemote)
 {
     HealthMonitor mon;
     for (int i = 0; i < 20; ++i)
-        mon.observe(faultyInterval(mon.policy().demote_fault_events - 1),
+        mon.observe(faultyInterval(HealthMonitor::kDemoteFaultEvents - 1),
                     60.0, 60.0);
     EXPECT_FALSE(mon.degraded());
     // ...but they are never "clean" either.
@@ -83,7 +83,7 @@ TEST(HealthMonitor, FaultsBelowThresholdDoNotDemote)
 TEST(HealthMonitor, DemotesWhenDivergenceEwmaCrosses)
 {
     HealthMonitor mon;
-    const double bad = mon.policy().demote_divergence_w * 3.0;
+    const double bad = HealthMonitor::kDemoteDivergenceW * 3.0;
     std::size_t demoted_at = 0;
     for (std::size_t i = 1; i <= 20 && !mon.degraded(); ++i) {
         mon.observe(cleanInterval(), 60.0, 60.0 + bad);
@@ -93,7 +93,7 @@ TEST(HealthMonitor, DemotesWhenDivergenceEwmaCrosses)
     // The EWMA needs a few intervals to cross — one glitch is not
     // enough to flip the verdict.
     EXPECT_GT(demoted_at, 1u);
-    EXPECT_GT(mon.divergenceEwma(), mon.policy().demote_divergence_w);
+    EXPECT_GT(mon.divergenceEwma(), HealthMonitor::kDemoteDivergenceW);
 }
 
 TEST(HealthMonitor, SingleGlitchDoesNotDemote)
@@ -110,7 +110,7 @@ TEST(HealthMonitor, DegradedStateLatchesUntilCleanStreak)
     HealthMonitor mon;
     mon.observe(faultyInterval(10), 60.0, 60.0);
     ASSERT_TRUE(mon.degraded());
-    const std::size_t need = mon.policy().repromote_clean;
+    const std::size_t need = HealthMonitor::kRepromoteClean;
     for (std::size_t i = 1; i < need; ++i) {
         mon.observe(cleanInterval(), kNaN, 60.0);
         EXPECT_TRUE(mon.degraded()) << "after " << i << " clean";
@@ -126,7 +126,7 @@ TEST(HealthMonitor, FaultDuringRecoveryResetsTheStreak)
     HealthMonitor mon;
     mon.observe(faultyInterval(10), 60.0, 60.0);
     ASSERT_TRUE(mon.degraded());
-    const std::size_t need = mon.policy().repromote_clean;
+    const std::size_t need = HealthMonitor::kRepromoteClean;
     for (std::size_t i = 1; i < need; ++i)
         mon.observe(cleanInterval(), kNaN, 60.0);
     mon.observe(faultyInterval(1), kNaN, 60.0); // streak broken
@@ -155,17 +155,22 @@ TEST(HealthMonitor, NanPredictionHoldsTheEwma)
 
 TEST(HealthMonitor, HysteresisBlocksRepromotionBetweenThresholds)
 {
-    HealthPolicy pol;
-    pol.ewma_alpha = 1.0; // EWMA == the latest error, for directness
-    HealthMonitor mon(pol);
-    mon.observe(faultyInterval(10), 60.0, 60.0);
+    // From a zero EWMA an error of 4x lands the EWMA exactly on x
+    // (alpha = 0.25), and an error of x then holds it there; every
+    // value below is exactly representable.
+    static_assert(HealthMonitor::kEwmaAlpha == 0.25);
+    const double mid = 0.5 * (HealthMonitor::kCleanDivergenceW +
+                              HealthMonitor::kDemoteDivergenceW);
+    HealthMonitor mon;
+    mon.observe(faultyInterval(10), 60.0, 60.0 + 4.0 * mid);
     ASSERT_TRUE(mon.degraded());
-    // Error sits between clean (8 W) and demote (15 W): not demotable,
-    // but not clean either — the system must stay degraded forever.
-    const double mid =
-        0.5 * (pol.clean_divergence_w + pol.demote_divergence_w);
+    ASSERT_EQ(mon.divergenceEwma(), mid);
+    // The EWMA sits between clean (8 W) and demote (15 W): not
+    // demotable, but not clean either — the system must stay
+    // degraded forever.
     for (int i = 0; i < 30; ++i) {
         mon.observe(cleanInterval(), 60.0, 60.0 + mid);
+        EXPECT_EQ(mon.divergenceEwma(), mid);
         EXPECT_TRUE(mon.degraded());
         EXPECT_EQ(mon.cleanStreak(), 0u);
     }
@@ -174,7 +179,7 @@ TEST(HealthMonitor, HysteresisBlocksRepromotionBetweenThresholds)
 TEST(HealthMonitor, CountsMultipleDemotionCycles)
 {
     HealthMonitor mon;
-    const std::size_t need = mon.policy().repromote_clean;
+    const std::size_t need = HealthMonitor::kRepromoteClean;
     for (int cycle = 0; cycle < 3; ++cycle) {
         mon.observe(faultyInterval(10), 60.0, 60.0);
         for (std::size_t i = 0; i < need; ++i)
@@ -190,47 +195,68 @@ TEST(HealthMonitor, CountsMultipleDemotionCycles)
 TEST(HealthMonitor, DivergenceExactlyAtDemoteThresholdStaysHealthy)
 {
     // Demotion is strict >: an EWMA sitting exactly on the line is
-    // still (barely) trusted.
-    HealthPolicy pol;
-    pol.ewma_alpha = 1.0; // EWMA == the latest error
-    HealthMonitor mon(pol);
+    // still (barely) trusted. From a zero EWMA an error of 60 W lands
+    // exactly on 15 W, and an error of 15 W then holds it there.
+    static_assert(HealthMonitor::kEwmaAlpha == 0.25);
+    constexpr double kLine = HealthMonitor::kDemoteDivergenceW;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    HealthMonitor mon;
+    mon.observe(cleanInterval(), 0.0, 4.0 * kLine);
+    EXPECT_EQ(mon.divergenceEwma(), kLine);
+    EXPECT_FALSE(mon.degraded());
     for (int i = 0; i < 10; ++i) {
-        mon.observe(cleanInterval(), 60.0,
-                    60.0 + pol.demote_divergence_w);
+        mon.observe(cleanInterval(), 60.0, 60.0 + kLine);
+        EXPECT_EQ(mon.divergenceEwma(), kLine);
         EXPECT_FALSE(mon.degraded());
     }
-    // Nudge the *measured* value (one ulp at ~75 W survives the
-    // subtraction; one ulp at 15 W would be absorbed by 60.0 + x).
-    mon.observe(cleanInterval(), 60.0,
-                std::nextafter(60.0 + pol.demote_divergence_w, 1e300));
-    EXPECT_TRUE(mon.degraded());
+    // The next double above 60 W scales to the next double above the
+    // line (x 0.25 is exact), and that demotes.
+    HealthMonitor over;
+    over.observe(cleanInterval(), 0.0, std::nextafter(4.0 * kLine, kInf));
+    EXPECT_EQ(over.divergenceEwma(), std::nextafter(kLine, kInf));
+    EXPECT_TRUE(over.degraded());
 }
 
 TEST(HealthMonitor, DivergenceExactlyAtCleanThresholdCountsClean)
 {
-    // Cleanliness is inclusive <=: exactly clean_divergence_w earns
-    // streak credit and eventually re-promotes.
-    HealthPolicy pol;
-    pol.ewma_alpha = 1.0;
-    HealthMonitor mon(pol);
-    mon.observe(faultyInterval(10), 60.0, 60.0);
+    // Cleanliness is inclusive <=: an EWMA of exactly
+    // kCleanDivergenceW earns streak credit and eventually
+    // re-promotes; the next double above it never does.
+    static_assert(HealthMonitor::kEwmaAlpha == 0.25);
+    constexpr double kLine = HealthMonitor::kCleanDivergenceW;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    HealthMonitor mon;
+    mon.observe(faultyInterval(10), 0.0, 4.0 * kLine);
     ASSERT_TRUE(mon.degraded());
-    for (std::size_t i = 0; i < pol.repromote_clean; ++i)
-        mon.observe(cleanInterval(), 60.0,
-                    60.0 + pol.clean_divergence_w);
+    ASSERT_EQ(mon.divergenceEwma(), kLine);
+    for (std::size_t i = 0; i < HealthMonitor::kRepromoteClean; ++i) {
+        mon.observe(cleanInterval(), 60.0, 60.0 + kLine);
+        EXPECT_EQ(mon.divergenceEwma(), kLine);
+    }
     EXPECT_FALSE(mon.degraded());
     EXPECT_EQ(mon.repromotions(), 1u);
+
+    HealthMonitor over;
+    over.observe(faultyInterval(10), 0.0,
+                 std::nextafter(4.0 * kLine, kInf));
+    ASSERT_TRUE(over.degraded());
+    ASSERT_EQ(over.divergenceEwma(), std::nextafter(kLine, kInf));
+    // No prediction holds the EWMA just above the line.
+    for (int i = 0; i < 30; ++i)
+        over.observe(cleanInterval(), kNaN, 60.0);
+    EXPECT_TRUE(over.degraded());
+    EXPECT_EQ(over.cleanStreak(), 0u);
 }
 
 TEST(HealthMonitor, FaultEventsExactlyAtThresholdDemote)
 {
     HealthMonitor below;
-    below.observe(faultyInterval(below.policy().demote_fault_events - 1),
+    below.observe(faultyInterval(HealthMonitor::kDemoteFaultEvents - 1),
                   60.0, 60.0);
     EXPECT_FALSE(below.degraded());
 
     HealthMonitor at;
-    at.observe(faultyInterval(at.policy().demote_fault_events), 60.0,
+    at.observe(faultyInterval(HealthMonitor::kDemoteFaultEvents), 60.0,
                60.0);
     EXPECT_TRUE(at.degraded());
 }
@@ -252,12 +278,12 @@ TEST(HealthMonitor, ModelSwapResetsEwmaAndStreak)
 TEST(HealthMonitor, ModelSwapDoesNotLiftTheDegradedLatch)
 {
     // A swap mid-recovery erases the streak earned under the retired
-    // model; re-promotion needs repromote_clean fresh intervals under
+    // model; re-promotion needs kRepromoteClean fresh intervals under
     // the new one.
     HealthMonitor mon;
     mon.observe(faultyInterval(10), 60.0, 60.0);
     ASSERT_TRUE(mon.degraded());
-    const std::size_t need = mon.policy().repromote_clean;
+    const std::size_t need = HealthMonitor::kRepromoteClean;
     for (std::size_t i = 1; i < need; ++i)
         mon.observe(cleanInterval(), kNaN, 60.0);
     mon.noteModelSwap();
@@ -274,32 +300,19 @@ TEST(HealthMonitor, ModelSwapDoesNotLiftTheDegradedLatch)
 TEST(HealthMonitor, SwapWhileHealthyKeepsGoverning)
 {
     // The re-promotion hysteresis path of a swap on a healthy session:
-    // an EWMA just under the demote line restarts from zero, so the
-    // session does not demote on post-swap residue.
-    HealthPolicy pol;
-    pol.ewma_alpha = 1.0;
-    HealthMonitor mon(pol);
-    mon.observe(cleanInterval(), 60.0,
-                60.0 + pol.demote_divergence_w); // at, not over
+    // an EWMA on the demote line restarts from zero, so the session
+    // does not demote on post-swap residue.
+    static_assert(HealthMonitor::kEwmaAlpha == 0.25);
+    HealthMonitor mon;
+    mon.observe(cleanInterval(), 0.0,
+                4.0 * HealthMonitor::kDemoteDivergenceW); // at, not over
+    ASSERT_EQ(mon.divergenceEwma(), HealthMonitor::kDemoteDivergenceW);
     ASSERT_FALSE(mon.degraded());
     mon.noteModelSwap();
     EXPECT_EQ(mon.divergenceEwma(), 0.0);
-    mon.observe(cleanInterval(), 60.0, 60.5);
+    mon.observe(cleanInterval(), 60.0, 62.0);
     EXPECT_FALSE(mon.degraded());
-    EXPECT_DOUBLE_EQ(mon.divergenceEwma(), 0.5);
-}
-
-TEST(HealthMonitorDeath, DegeneratePoliciesAreFatal)
-{
-    HealthPolicy alpha;
-    alpha.ewma_alpha = 0.0;
-    EXPECT_DEATH(HealthMonitor{alpha}, "ewma_alpha");
-    HealthPolicy swapped;
-    swapped.clean_divergence_w = swapped.demote_divergence_w + 1.0;
-    EXPECT_DEATH(HealthMonitor{swapped}, "clean threshold");
-    HealthPolicy zero;
-    zero.repromote_clean = 0;
-    EXPECT_DEATH(HealthMonitor{zero}, "clean interval");
+    EXPECT_EQ(mon.divergenceEwma(), 0.5);
 }
 
 } // namespace

@@ -157,7 +157,7 @@ TEST(Recalibrate, DriftTriggersRefitAndHotSwap)
     const auto *mon = session.healthMonitor();
     ASSERT_NE(mon, nullptr);
     EXPECT_GE(mon->modelSwaps(), 1u);
-    EXPECT_LT(mon->divergenceEwma(), mon->policy().clean_divergence_w);
+    EXPECT_LT(mon->divergenceEwma(), runtime::HealthMonitor::kCleanDivergenceW);
     EXPECT_FALSE(mon->degraded());
 }
 

@@ -21,7 +21,6 @@ namespace {
 
 using namespace ppep;
 using runtime::Sampler;
-using runtime::SamplerPolicy;
 using sim::FaultPlan;
 
 constexpr std::uint64_t kSeed = 7;
@@ -114,8 +113,8 @@ TEST(Sampler, DiodeSpikesOutsideWindowAreRejected)
     bool saw_reject = false;
     for (int i = 0; i < 10; ++i) {
         const auto rec = sampler.collectInterval();
-        EXPECT_GE(rec.diode_temp_k, sampler.policy().min_temp_k);
-        EXPECT_LE(rec.diode_temp_k, sampler.policy().max_temp_k);
+        EXPECT_GE(rec.diode_temp_k, Sampler::kMinTempK);
+        EXPECT_LE(rec.diode_temp_k, Sampler::kMaxTempK);
         saw_reject |= sampler.lastHealth().diode_rejects > 0;
     }
     EXPECT_TRUE(saw_reject);
@@ -136,7 +135,7 @@ TEST(Sampler, PersistentMsrFailureRetriesThenSubstitutes)
     const auto &h = sampler.lastHealth();
     // Every core exhausted its retries + 1 attempts.
     EXPECT_EQ(h.msr_retries,
-              n_cores * (sampler.policy().max_read_retries + 1));
+              n_cores * (Sampler::kMaxReadRetries + 1));
     EXPECT_EQ(h.msr_failed_cores, n_cores);
     EXPECT_EQ(h.substituted_cores, n_cores);
     EXPECT_EQ(h.zeroed_cores, 0u);
@@ -154,7 +153,7 @@ TEST(Sampler, StalenessBudgetExhaustionZeroesTheCore)
     sampler.collectInterval(); // primes last-good
 
     chip.setFaultPlan(FaultPlan::parse("msr=1"), 11);
-    const std::size_t budget = sampler.policy().staleness_budget;
+    const std::size_t budget = Sampler::kStalenessBudget;
     for (std::size_t i = 0; i < budget; ++i) {
         sampler.collectInterval();
         EXPECT_EQ(sampler.lastHealth().substituted_cores, n_cores)
@@ -268,17 +267,6 @@ TEST(Sampler, CumulativeTalliesCarryAcrossIntervals)
     }
     EXPECT_GT(running, 0u);
     EXPECT_GT(last_total, 0u);
-}
-
-TEST(SamplerDeath, DegenerateBudgetOrWindowsAreFatal)
-{
-    sim::Chip chip(sim::fx8320Config(), kSeed);
-    SamplerPolicy p;
-    p.staleness_budget = 0;
-    EXPECT_DEATH(Sampler(chip, p), "staleness budget");
-    SamplerPolicy q;
-    q.min_cpi = q.max_cpi;
-    EXPECT_DEATH(Sampler(chip, q), "non-empty");
 }
 
 } // namespace

@@ -19,8 +19,9 @@
  *                                              caps every interval
  *
  * Common options:
- *   --platform fx8320|fx8320-boost|fx8320-nbdvfs|phenom2
- *                                              (default fx8320)
+ *   --platform NAME   fx8320 (fx), fx8320-boost (boost),
+ *                     fx8320-nbdvfs (nbdvfs) or phenom2 (phenom);
+ *                     default fx8320
  *   --seed N                                   (default 2014)
  *   -b/--benchmark NAME, -n/--copies N, --nb-whatif, --quick
  */
@@ -54,6 +55,45 @@
 namespace {
 
 using namespace ppep;
+
+/** One platform the CLI can simulate; --platform and --mix accept
+ *  its full name or its short alias. */
+struct Platform
+{
+    const char *name;
+    const char *alias;
+    sim::ChipConfig (*make)();
+};
+
+constexpr Platform kPlatforms[] = {
+    {"fx8320", "fx", sim::fx8320Config},
+    {"fx8320-boost", "boost", sim::fx8320ConfigWithBoost},
+    {"fx8320-nbdvfs", "nbdvfs", sim::fx8320NbDvfsConfig},
+    {"phenom2", "phenom", sim::phenomIIConfig},
+};
+
+/** "fx8320 (fx), fx8320-boost (boost), ..." for usage and errors. */
+std::string
+platformNames()
+{
+    std::string out;
+    for (const auto &p : kPlatforms) {
+        if (!out.empty())
+            out += ", ";
+        out += std::string(p.name) + " (" + p.alias + ")";
+    }
+    return out;
+}
+
+/** The platform called @p name (full name or alias), or null. */
+const Platform *
+findPlatform(const std::string &name)
+{
+    for (const auto &p : kPlatforms)
+        if (name == p.name || name == p.alias)
+            return &p;
+    return nullptr;
+}
 
 struct Options
 {
@@ -103,7 +143,7 @@ usage(int code)
         "                             K-worker pool over shared models\n"
         "        [--mix LIST|@FILE]   heterogeneous fleet: LIST is\n"
         "                             NAME:COUNT[,NAME:COUNT...] with\n"
-        "                             NAME in fx, boost, nbdvfs, phenom\n"
+        "                             NAME a platform (see --platform)\n"
         "                             (e.g. --mix fx:6,phenom:2);\n"
         "                             @FILE reads the same entries from\n"
         "                             a file, one per line, # comments\n"
@@ -139,8 +179,12 @@ usage(int code)
         "                             iterative reactive baseline\n"
         "\n"
         "options:\n"
-        "  --platform fx8320|fx8320-boost|fx8320-nbdvfs|phenom2\n"
-        "                             (default fx8320)\n"
+        "  --platform NAME            default fx8320; NAME is one of\n");
+    for (const auto &p : kPlatforms)
+        std::fprintf(stderr, "                               %s (%s)\n",
+                     p.name, p.alias);
+    std::fprintf(
+        stderr,
         "  --seed N                                  (default 2014)\n"
         "  --quick                    small training/validation sets\n");
     std::exit(code);
@@ -252,15 +296,10 @@ parse(int argc, char **argv)
 sim::ChipConfig
 platformOf(const std::string &name)
 {
-    if (name == "fx8320")
-        return sim::fx8320Config();
-    if (name == "fx8320-boost")
-        return sim::fx8320ConfigWithBoost();
-    if (name == "fx8320-nbdvfs")
-        return sim::fx8320NbDvfsConfig();
-    if (name == "phenom2")
-        return sim::phenomIIConfig();
-    std::fprintf(stderr, "unknown platform '%s'\n", name.c_str());
+    if (const Platform *p = findPlatform(name))
+        return p->make();
+    std::fprintf(stderr, "unknown platform '%s' (one of %s)\n",
+                 name.c_str(), platformNames().c_str());
     usage(1);
 }
 
@@ -271,25 +310,6 @@ struct MixEntry
     sim::ChipConfig cfg;
     std::size_t count = 0;
 };
-
-/** Short platform aliases accepted inside --mix. */
-const sim::ChipConfig *
-mixPlatform(const std::string &alias)
-{
-    static const sim::ChipConfig fx = sim::fx8320Config();
-    static const sim::ChipConfig boost = sim::fx8320ConfigWithBoost();
-    static const sim::ChipConfig nbdvfs = sim::fx8320NbDvfsConfig();
-    static const sim::ChipConfig phenom = sim::phenomIIConfig();
-    if (alias == "fx" || alias == "fx8320")
-        return &fx;
-    if (alias == "boost" || alias == "fx8320-boost")
-        return &boost;
-    if (alias == "nbdvfs" || alias == "fx8320-nbdvfs")
-        return &nbdvfs;
-    if (alias == "phenom" || alias == "phenom2")
-        return &phenom;
-    return nullptr;
-}
 
 /**
  * Parse `--mix fx:6,phenom:2` (or `--mix @file`, same entries one per
@@ -351,15 +371,15 @@ parseMix(const std::string &arg)
         }
         MixEntry entry;
         entry.alias = token.substr(0, colon);
-        const sim::ChipConfig *cfg = mixPlatform(entry.alias);
-        if (cfg == nullptr) {
+        const Platform *platform = findPlatform(entry.alias);
+        if (platform == nullptr) {
             std::fprintf(stderr,
                          "fleet: unknown platform '%s' in --mix (one of "
-                         "fx, boost, nbdvfs, phenom)\n",
-                         entry.alias.c_str());
+                         "%s)\n",
+                         entry.alias.c_str(), platformNames().c_str());
             std::exit(1);
         }
-        entry.cfg = *cfg;
+        entry.cfg = platform->make();
         entry.count =
             parseNumber<std::size_t>("--mix", token.substr(colon + 1));
         if (entry.count == 0) {
@@ -573,7 +593,7 @@ cmdFleet(const Options &opt)
         for (std::size_t i = 0; i < opt.fleet_sessions; ++i) {
             runtime::FleetSessionSpec ss;
             ss.seed = opt.seed + 100 + i;
-            ss.pg = (i % 2) == 0;
+            ss.pg = spec.cfg.pg_supported && (i % 2) == 0;
             ss.one_per_cu = mixes[i % mixes.size()];
             spec.sessions.push_back(std::move(ss));
         }
