@@ -12,6 +12,11 @@
  * a retuned governor) updates the constants here in the same commit
  * and says why.
  *
+ * Two goldens sit below the session and run no DigestSink:
+ * CounterFaultsAcrossSlotWidths pins the per-core counter path, and
+ * CollectorTruth pins the simulator's ground truth (oracle counts, the
+ * true_* means, NB utilisation) straight from the Collector.
+ *
  * The constants hold for the default build flags (no PPEP_NATIVE): the
  * sim and model libraries pin -ffp-contract=off, but the governor and
  * runtime layers do not.
@@ -34,6 +39,7 @@
 #include "ppep/runtime/session.hpp"
 #include "ppep/sim/chip.hpp"
 #include "ppep/sim/fault.hpp"
+#include "ppep/trace/collector.hpp"
 #include "ppep/workloads/suite.hpp"
 
 #include "temp_path.hpp"
@@ -328,6 +334,61 @@ TEST(GoldenDigest, CounterFaultsAcrossSlotWidths)
         for (const auto &[name, cfg] : chips)
             expectDigest(counterFaultDigest(cfg, plan), want[k++],
                          name + " under " + plan);
+}
+
+/**
+ * Digest of the simulator's ground truth over 40 raw Collector
+ * intervals: every per-core oracle count, the five true_* means and
+ * nb_utilization, each interval, while the chip steps through its VF
+ * states. No model, session or DigestSink runs: this pins the truth
+ * the Collector produces for validation, independently of what the
+ * telemetry digest and replay frames carry.
+ */
+std::uint64_t
+collectorTruthDigest(const sim::ChipConfig &cfg, const std::string &faults)
+{
+    sim::Chip chip(cfg, 23);
+    workloads::launch(chip, workloads::replicate("433.milc", 3), true);
+    if (!faults.empty())
+        chip.setFaultPlan(sim::FaultPlan::parse(faults), 29);
+    trace::Collector collector(chip);
+    trace::IntervalRecord rec;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < 40; ++i) {
+        chip.setAllVf(i % cfg.vf_table.size());
+        collector.collectIntervalInto(rec);
+        for (const auto &core : rec.oracle)
+            for (double v : core)
+                fnvMix(h, std::bit_cast<std::uint64_t>(v));
+        for (double v : {rec.true_power_w, rec.true_dynamic_w,
+                         rec.true_idle_w, rec.true_nb_power_w,
+                         rec.true_temp_k, rec.nb_utilization})
+            fnvMix(h, std::bit_cast<std::uint64_t>(v));
+    }
+    if (!faults.empty()) {
+        // VF faults change what the chip runs at, so they reach truth.
+        const auto &fired = chip.faultInjector()->counters();
+        EXPECT_GT(fired.vf_rejects + fired.vf_delays, 0u);
+    }
+    return h;
+}
+
+TEST(GoldenDigest, CollectorTruth)
+{
+    const std::string faults =
+        "vf_reject=0.3,vf_delay=0.3,msr=0.2,wrap=20,mux=0.1";
+    const std::array<std::pair<std::string, sim::ChipConfig>, 2> chips = {
+        {{"FX-8320", sim::fx8320Config()},
+         {"Phenom II", sim::phenomIIConfig()}}};
+    const std::array<std::uint64_t, 4> want = {
+        0x0b547a600ecdd52cULL, 0x84050cd9ab4202e8ULL,
+        0x62266151e69dfa09ULL, 0x21f8c4dff56c5d6fULL};
+    std::size_t k = 0;
+    for (const auto &[name, cfg] : chips)
+        for (const std::string &plan : {std::string{}, faults})
+            expectDigest(collectorTruthDigest(cfg, plan), want[k++],
+                         name + (plan.empty() ? ", no faults"
+                                              : " under " + plan));
 }
 
 /** The tight policy of the Recalibrate.* tests: a small ring and a
