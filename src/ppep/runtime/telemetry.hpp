@@ -30,6 +30,7 @@
 #include "ppep/model/ppep.hpp"
 #include "ppep/trace/interval.hpp"
 #include "ppep/util/fmt.hpp"
+#include "ppep/util/hash.hpp"
 
 namespace ppep::runtime {
 
@@ -233,11 +234,19 @@ class JsonlSink : public StreamSink
 };
 
 /**
- * Order-sensitive FNV-1a digest over every *deterministic* field of the
- * telemetry stream — the cheap bit-identical-replay witness behind the
- * fleet determinism tests and bench. decision_latency_s (wall clock) is
- * excluded by construction; everything else, down to per-core PMC
- * counts and ground truth, is folded in bit-for-bit.
+ * Order-sensitive wide FNV-1a digest (util::fnv1aWide, from the FNV-1a
+ * offset basis) over the deterministic fields of the telemetry stream —
+ * the cheap bit-identical-replay witness behind the fleet determinism
+ * tests and bench. It folds in, bit for bit, what software observes
+ * (the interval's sensor power, diode temperature, per-core PMC counts,
+ * VF context and busy-core count, and the health words of a hardened
+ * session) plus what the pipeline decided from it (predicted power,
+ * exploration rows, next VFs, tenant split, degraded flag,
+ * recalibration counters). decision_latency_s (wall clock) is excluded,
+ * and so is the simulator's ground truth (oracle counts, true_* means,
+ * nb_utilization): a replay does not carry it, so a recorded session
+ * and its replay agree because both hash the same observed fields.
+ * GoldenDigest.CollectorTruth pins the truth the Collector produces.
  */
 class DigestSink : public TelemetrySink
 {
@@ -254,7 +263,7 @@ class DigestSink : public TelemetrySink
     void mixU64(std::uint64_t v) PPEP_NONBLOCKING;
     void mixDouble(double v) PPEP_NONBLOCKING;
 
-    std::uint64_t hash_ = 1469598103934665603ULL;
+    std::uint64_t hash_ = util::kFnvOffsetBasis;
     std::size_t count_ = 0;
 };
 

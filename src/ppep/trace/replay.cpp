@@ -125,8 +125,8 @@ std::size_t
 ReplayStreamBuilder::strideFor(std::size_t n_cores, std::size_t n_cus,
                                bool with_health)
 {
-    // 13 f64 context/record scalars + busy_cores.
-    std::size_t fields = 14 + n_cus + 2 * n_cores * sim::kNumEvents;
+    // 7 f64 context/record scalars + busy_cores.
+    std::size_t fields = 8 + n_cus + n_cores * sim::kNumEvents;
     if (with_health)
         fields += std::tuple_size_v<SampleHealth::Words>;
     return 8 * fields;
@@ -152,8 +152,7 @@ ReplayStreamBuilder::addFrame(double time_s, double cap_w,
 {
     PPEP_ASSERT(rec.cu_vf.size() == n_cus_,
                 "record CU count does not match the stream shape");
-    PPEP_ASSERT(rec.pmc.size() == n_cores_ &&
-                    rec.oracle.size() == n_cores_,
+    PPEP_ASSERT(rec.pmc.size() == n_cores_,
                 "record core count does not match the stream shape");
     PPEP_ASSERT((health != nullptr) == with_health_,
                 "health block presence must match the stream flags");
@@ -166,21 +165,12 @@ ReplayStreamBuilder::addFrame(double time_s, double cap_w,
     appendF64(bytes_, rec.duration_s);
     appendF64(bytes_, rec.sensor_power_w);
     appendF64(bytes_, rec.diode_temp_k);
-    appendF64(bytes_, rec.true_power_w);
-    appendF64(bytes_, rec.true_dynamic_w);
-    appendF64(bytes_, rec.true_idle_w);
-    appendF64(bytes_, rec.true_nb_power_w);
-    appendF64(bytes_, rec.true_temp_k);
-    appendF64(bytes_, rec.nb_utilization);
     appendF64(bytes_, rec.nb_vf.voltage);
     appendF64(bytes_, rec.nb_vf.freq_ghz);
     appendU64(bytes_, static_cast<std::uint64_t>(rec.busy_cores));
     for (std::size_t v : rec.cu_vf)
         appendU64(bytes_, static_cast<std::uint64_t>(v));
     for (const auto &core : rec.pmc)
-        for (double e : core)
-            appendF64(bytes_, e);
-    for (const auto &core : rec.oracle)
         for (double e : core)
             appendF64(bytes_, e);
     if (with_health_)
@@ -392,18 +382,6 @@ ReplaySource::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
     p += 8;
     rec.diode_temp_k = loadF64(p);
     p += 8;
-    rec.true_power_w = loadF64(p);
-    p += 8;
-    rec.true_dynamic_w = loadF64(p);
-    p += 8;
-    rec.true_idle_w = loadF64(p);
-    p += 8;
-    rec.true_nb_power_w = loadF64(p);
-    p += 8;
-    rec.true_temp_k = loadF64(p);
-    p += 8;
-    rec.nb_utilization = loadF64(p);
-    p += 8;
     rec.nb_vf.voltage = loadF64(p);
     p += 8;
     rec.nb_vf.freq_ghz = loadF64(p);
@@ -417,7 +395,6 @@ ReplaySource::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
     PPEP_RT_WARMUP_BEGIN
     rec.cu_vf.resize(stream_.n_cus);
     rec.pmc.resize(stream_.n_cores);
-    rec.oracle.resize(stream_.n_cores);
     PPEP_RT_WARMUP_END
 
     for (std::size_t cu = 0; cu < stream_.n_cus; ++cu) {
@@ -427,11 +404,6 @@ ReplaySource::collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
     for (std::size_t c = 0; c < stream_.n_cores; ++c)
         for (std::size_t e = 0; e < sim::kNumEvents; ++e) {
             rec.pmc[c][e] = loadF64(p);
-            p += 8;
-        }
-    for (std::size_t c = 0; c < stream_.n_cores; ++c)
-        for (std::size_t e = 0; e < sim::kNumEvents; ++e) {
-            rec.oracle[c][e] = loadF64(p);
             p += 8;
         }
     if (stream_.with_health) {

@@ -36,27 +36,31 @@
  *     u32      reserved        0
  *   frames, per stream, contiguous
  *
- * Frame layout (frame_stride = 8 × n_fields):
+ * Frame layout (frame_stride = 8 × n_fields; 864 bytes on the
+ * FX-8320 without health):
  *     f64 time_s, cap_w                       (telemetry context)
  *     f64 duration_s, sensor_power_w, diode_temp_k
- *     f64 true_power_w, true_dynamic_w, true_idle_w,
- *         true_nb_power_w, true_temp_k, nb_utilization
  *     f64 nb_vf.voltage, nb_vf.freq_ghz
  *     u64 busy_cores
  *     u64 cu_vf[n_cus]
  *     f64 pmc[n_cores][kNumEvents]
- *     f64 oracle[n_cores][kNumEvents]
  *     u64 health[11]                          (iff flags bit 0)
+ *
+ * A frame holds only what software observes (paper Sec. IV: PMCs, the
+ * power sensor, the diode) and the context it was governed in. The
+ * simulator's ground truth — oracle counts, the true_* means and
+ * nb_utilization — is not recorded: a replayed record leaves it unset
+ * (oracle empty, scalars at their defaults). Version 2 frames stored
+ * it, 102 more words per FX-8320 frame.
  *
  * Checksum (since version 2): wide FNV-1a over the range read as
  * little-endian u64 words — starting from the FNV-1a 64-bit offset
  * basis, each word w folds in as h = (h ^ w) * FNV prime
  * (util::fnv1aWide). Both checksummed ranges are whole words: table
  * entries are 96 bytes and a frame's stride is 8 × its field count.
- * Version 1 hashed the same ranges one byte per step; this build
- * rejects version 1 files by their version word, so they must be
- * re-recorded. The header itself is not checksummed: its fields are
- * each validated on open.
+ * This build rejects files of any other version by their version
+ * word, so older recordings must be re-recorded. The header itself is
+ * not checksummed: its fields are each validated on open.
  *
  * The health block is SampleHealth::words() — the digest-relevant
  * counters of a hardened session's acquisition, in the one order
@@ -81,7 +85,7 @@
 namespace ppep::trace {
 
 /** On-disk format version written and accepted by this build. */
-inline constexpr std::uint32_t kReplayVersion = 2;
+inline constexpr std::uint32_t kReplayVersion = 3;
 
 /** Longest stream name the stream table stores; the writer truncates
  *  longer names. */
@@ -94,7 +98,7 @@ inline constexpr std::size_t kMaxStreamNameBytes = 39;
  * from its worker pool without interleaving writes: each session owns
  * a builder, and writeReplayFile() assembles the streams into one
  * file after the run. Recording is not a hot path — it happens at
- * simulation speed, and a recorded interval is ~2 KB.
+ * simulation speed, and a recorded interval is under 1 KB.
  */
 class ReplayStreamBuilder
 {
@@ -127,7 +131,9 @@ class ReplayStreamBuilder
     std::size_t frameStride() const { return stride_; }
     const std::vector<unsigned char> &bytes() const { return bytes_; }
 
-    /** Frame stride in bytes for the given stream shape. */
+    /** Frame stride in bytes for the given stream shape: 8 fixed
+     *  words, one per CU, kNumEvents per core and the optional health
+     *  block (864 bytes for the FX-8320 without health). */
     static std::size_t strideFor(std::size_t n_cores, std::size_t n_cus,
                                  bool with_health);
 
@@ -222,7 +228,8 @@ class ReplaySource final : public IntervalSource
     /** Rewind to the first frame (replay the stream again). */
     void rewind() { next_ = 0; }
 
-    /** Decode the next frame into @p rec; fatal past the end. */
+    /** Decode the next frame into @p rec; fatal past the end. Truth
+     *  fields are not recorded and stay as @p rec holds them. */
     void collectIntervalInto(IntervalRecord &rec) PPEP_NONBLOCKING
         override;
 

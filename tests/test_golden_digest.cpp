@@ -15,7 +15,8 @@
  * Two goldens sit below the session and run no DigestSink:
  * CounterFaultsAcrossSlotWidths pins the per-core counter path, and
  * CollectorTruth pins the simulator's ground truth (oracle counts, the
- * true_* means, NB utilisation) straight from the Collector.
+ * true_* means, NB utilisation) straight from the Collector; the
+ * telemetry digest does not hash it and replay frames do not store it.
  *
  * The constants hold for the default build flags (no PPEP_NATIVE): the
  * sim and model libraries pin -ffp-contract=off, but the governor and
@@ -165,7 +166,7 @@ TEST(GoldenDigest, PlainEdpSession)
         fxSession(digest).onePerCu({"EP", "CG", "458.sjeng", "433.milc"})
             .build();
     ASSERT_EQ(session.drive(12), 12u);
-    expectDigest(digest.digest(), 0x9d6c1530ed079d3dULL, "plain EDP session");
+    expectDigest(digest.digest(), 0xd3b13ef4a627de48ULL, "plain EDP session");
 }
 
 TEST(GoldenDigest, HardenedSessionUnderSeededFaults)
@@ -179,7 +180,7 @@ TEST(GoldenDigest, HardenedSessionUnderSeededFaults)
             .faultSeed(5)
             .build();
     ASSERT_EQ(session.drive(12), 12u);
-    expectDigest(digest.digest(), 0x59d25a254451cd32ULL, "hardened session");
+    expectDigest(digest.digest(), 0x8bd3f0c4d1729a0eULL, "hardened session");
 }
 
 TEST(GoldenDigest, TenantSession)
@@ -192,7 +193,7 @@ TEST(GoldenDigest, TenantSession)
                       {"beta", {4, 5, 6, 7}, {{4, "CG", true}}}})
             .build();
     ASSERT_EQ(session.drive(12), 12u);
-    expectDigest(digest.digest(), 0x966da3481df0a5e2ULL, "tenant session");
+    expectDigest(digest.digest(), 0xcc7aea7b0b773268ULL, "tenant session");
 }
 
 TEST(GoldenDigest, SessionUnderSteppedCapSchedule)
@@ -205,15 +206,15 @@ TEST(GoldenDigest, SessionUnderSteppedCapSchedule)
             .schedule(CapSchedule({{0, 120.0}, {4, 70.0}, {8, 50.0}}))
             .build();
     ASSERT_EQ(session.run(12).size(), 12u);
-    expectDigest(digest.digest(), 0x1b81abd99c69e014ULL, "capped session");
+    expectDigest(digest.digest(), 0xfd928b789416a75eULL, "capped session");
 }
 
 TEST(GoldenDigest, MixedFleetAtOneAndThreeThreads)
 {
     Fleet fleet(mixedSpec(8));
     const std::array<std::uint64_t, 4> want = {
-        0xdb25727192cbd3eaULL, 0xa1242d32e19a11d5ULL,
-        0x9e1be4fedf0aaa04ULL, 0x1f47003a6d636305ULL};
+        0x3935ecd105be335bULL, 0x7974477dd83701acULL,
+        0xbd7d23a6c63cadc5ULL, 0xb53df57c36f2efedULL};
     expectFleetDigests(fleet.run(1), want, "mixed fleet, 1 thread");
     expectFleetDigests(fleet.run(3), want, "mixed fleet, 3 threads");
 }
@@ -225,9 +226,9 @@ TEST(GoldenDigest, RecordThenReplayFleet)
     spec.sessions[1].faults =
         sim::FaultPlan::parse("msr=0.3,sensor_drop=0.2,jitter=0.3");
     spec.record_path = path;
-    const std::array<std::uint64_t, 3> want = {0xdb25727192cbd3eaULL,
-                                               0x1a5bba2f4655d7daULL,
-                                               0x9e1be4fedf0aaa04ULL};
+    const std::array<std::uint64_t, 3> want = {0x3935ecd105be335bULL,
+                                               0x7c3bdcf74c481e9bULL,
+                                               0xbd7d23a6c63cadc5ULL};
     Fleet recorder(spec);
     expectFleetDigests(recorder.run(2), want, "recording fleet");
 
@@ -257,8 +258,8 @@ TEST(GoldenDigest, ArbitratedFleetWithBudgetDrop)
     spec.arbiter = std::move(arbiter);
     Fleet fleet(std::move(spec));
     const std::array<std::uint64_t, 4> want = {
-        0x1b2b2e5831f21e84ULL, 0x40fab556f4b1441aULL,
-        0x06c19bfcca5b6a96ULL, 0x0a3395572a2ca79dULL};
+        0xbd8ba13f531fdb72ULL, 0xf3d946e369b3f9f2ULL,
+        0xf3ce50afacf96962ULL, 0xfac74baadc160abeULL};
     const FleetResult serial = fleet.run(1);
     expectFleetDigests(serial, want, "arbitrated fleet, 1 thread");
     // The budget must bind, or the arbiter never moved a cap.
@@ -455,7 +456,7 @@ TEST(GoldenDigest, RecalibratingSessionRefitsAndAdopts)
     // claim to.
     EXPECT_GE(rc->accepted(), 2u);
     EXPECT_GE(rc->rejected(), 1u);
-    expectDigest(digest.digest(), 0xa792d05c033bf4cdULL,
+    expectDigest(digest.digest(), 0x5e9e836347b51cf8ULL,
                  "recalibrating session");
     expectDigest(lineageDigest(rc->lineage()), 0xaf00b970ec0653d2ULL,
                  "recalibrating session lineage");
@@ -475,9 +476,9 @@ TEST(GoldenDigest, RecalibratingArbitratedFleetAtOneAndThreeThreads)
     arbiter.budget = CapSchedule({{0, 330.0}, {150, 240.0}});
     spec.arbiter = std::move(arbiter);
     Fleet fleet(std::move(spec));
-    const std::array<std::uint64_t, 3> want = {0x2653f8299228ad6fULL,
-                                               0x823983f15f8dfb5fULL,
-                                               0x3cfa12b12d685518ULL};
+    const std::array<std::uint64_t, 3> want = {0xd2f64894ef6e690fULL,
+                                               0x2c94e444e18f8e23ULL,
+                                               0x40994a06ee456c08ULL};
     const FleetResult serial = fleet.run(1);
     expectFleetDigests(serial, want,
                        "recalibrating arbitrated fleet, 1 thread");

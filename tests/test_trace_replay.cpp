@@ -3,7 +3,8 @@
  * Record/replay tests: a recorded interval stream must replay bit-
  * identically through the governor/telemetry pipeline (DigestSink
  * digests equal to the live run, for plain, heterogeneous-with-tenants
- * and fault-hardened fleets); a truncated, corrupt, foreign, or
+ * and fault-hardened fleets); a replayed record carries every observed
+ * field and leaves ground truth unset; a truncated, corrupt, foreign, or
  * wrong-platform replay file must be rejected fatally before the first
  * frame is served; and the warm replay ingest path must never touch
  * the heap.
@@ -168,26 +169,29 @@ heteroSpec()
     return spec;
 }
 
-/** Every frame field must survive the round trip bitwise. */
+/** Every observable field must survive the round trip bitwise; the
+ *  ground truth a frame does not store must stay unset. */
 void
-expectRecordEqual(const trace::IntervalRecord &out,
-                  const trace::IntervalRecord &in)
+expectReplayedRecord(const trace::IntervalRecord &out,
+                     const trace::IntervalRecord &in)
 {
     EXPECT_EQ(out.duration_s, in.duration_s);
     EXPECT_EQ(out.sensor_power_w, in.sensor_power_w);
     EXPECT_EQ(out.diode_temp_k, in.diode_temp_k);
-    EXPECT_EQ(out.true_power_w, in.true_power_w);
-    EXPECT_EQ(out.true_dynamic_w, in.true_dynamic_w);
-    EXPECT_EQ(out.true_idle_w, in.true_idle_w);
-    EXPECT_EQ(out.true_nb_power_w, in.true_nb_power_w);
-    EXPECT_EQ(out.true_temp_k, in.true_temp_k);
-    EXPECT_EQ(out.nb_utilization, in.nb_utilization);
     EXPECT_EQ(out.busy_cores, in.busy_cores);
     EXPECT_EQ(out.nb_vf.voltage, in.nb_vf.voltage);
     EXPECT_EQ(out.nb_vf.freq_ghz, in.nb_vf.freq_ghz);
     EXPECT_EQ(out.cu_vf, in.cu_vf);
     EXPECT_EQ(out.pmc, in.pmc);
-    EXPECT_EQ(out.oracle, in.oracle);
+
+    const trace::IntervalRecord unset;
+    EXPECT_TRUE(out.oracle.empty());
+    EXPECT_EQ(out.true_power_w, unset.true_power_w);
+    EXPECT_EQ(out.true_dynamic_w, unset.true_dynamic_w);
+    EXPECT_EQ(out.true_idle_w, unset.true_idle_w);
+    EXPECT_EQ(out.true_nb_power_w, unset.true_nb_power_w);
+    EXPECT_EQ(out.true_temp_k, unset.true_temp_k);
+    EXPECT_EQ(out.nb_utilization, unset.nb_utilization);
 }
 
 TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
@@ -214,6 +218,9 @@ TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
     for (std::size_t i = 0; i < 3; ++i) {
         chip.setAllVf(i);
         recs.push_back(col.collectInterval());
+        // The Collector fills truth; the frame must leave it out.
+        ASSERT_EQ(recs.back().oracle.size(), cfg.coreCount());
+        ASSERT_GT(recs.back().true_power_w, 0.0);
         builder.addFrame(times[i], caps[i], recs.back(), &healths[i]);
     }
     EXPECT_EQ(builder.frameCount(), 3u);
@@ -244,7 +251,7 @@ TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
         src.collectIntervalInto(out);
         EXPECT_EQ(src.frameTimeS(), times[i]);
         EXPECT_EQ(src.frameCapW(), caps[i]);
-        expectRecordEqual(out, recs[i]);
+        expectReplayedRecord(out, recs[i]);
         const trace::SampleHealth &h = *src.health();
         EXPECT_EQ(h.msr_retries, healths[i].msr_retries);
         EXPECT_EQ(h.msr_failed_cores, healths[i].msr_failed_cores);
@@ -264,7 +271,7 @@ TEST(ReplayTrace, RoundTripPreservesEveryFrameField)
     src.rewind();
     EXPECT_FALSE(src.done());
     src.collectIntervalInto(out);
-    expectRecordEqual(out, recs[0]);
+    expectReplayedRecord(out, recs[0]);
 }
 
 // --- file validation ------------------------------------------------------
@@ -328,7 +335,7 @@ flipByte(const std::string &path, std::size_t offset, unsigned char mask)
     patchFile(path, offset, &b, 1);
 }
 
-// Byte offsets of the v2 layout (see replay.hpp).
+// Byte offsets of the v3 layout (see replay.hpp).
 constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kEntryBytes = 96;
 
@@ -366,8 +373,12 @@ TEST(ReplayDeathTest, ForeignMagicIsRejected)
 
 TEST(ReplayTrace, ChecksumsAreWideFnv1aOverLittleEndianWords)
 {
-    // Pins the v2 checksum definition independently of the reader:
-    // from the FNV-1a offset basis, h = (h ^ w) * prime per u64 word.
+    // Pins the checksum definition (since v2) and the v3 frame stride
+    // independently of the reader: from the FNV-1a offset basis,
+    // h = (h ^ w) * prime per u64 word, over 108-word FX-8320 frames.
+    EXPECT_EQ(trace::ReplayStreamBuilder::strideFor(8, 4, false), 864u);
+    EXPECT_EQ(trace::ReplayStreamBuilder::strideFor(8, 4, true),
+              864u + 8u * 11u);
     const std::string path = writeSmallFile("checksum", 1);
     const std::vector<unsigned char> b = readFile(path);
     auto word = [&](std::size_t off) {
@@ -383,8 +394,10 @@ TEST(ReplayTrace, ChecksumsAreWideFnv1aOverLittleEndianWords)
     };
     std::uint32_t version;
     std::memcpy(&version, b.data() + 8, sizeof(version));
-    EXPECT_EQ(version, 2u);
+    EXPECT_EQ(version, 3u);
     EXPECT_EQ(word(32), wide(kHeaderBytes, kEntryBytes));
+    EXPECT_EQ(word(kHeaderBytes + 56), 2u);   // frame_count
+    EXPECT_EQ(word(kHeaderBytes + 64), 864u); // frame_stride
     const std::size_t frames = word(kHeaderBytes + 48);
     const std::size_t payload =
         word(kHeaderBytes + 56) * word(kHeaderBytes + 64);
@@ -394,14 +407,13 @@ TEST(ReplayTrace, ChecksumsAreWideFnv1aOverLittleEndianWords)
 
 TEST(ReplayDeathTest, OlderFormatVersionIsRejected)
 {
-    const std::string path = writeSmallFile("v1", 1);
-    patchU32(path, 8, trace::kReplayVersion - 1);
+    // A version-2 file (frames with ground truth) is refused by its
+    // version word, before any stride or checksum check.
+    const std::string path = writeSmallFile("v2", 1);
+    patchU32(path, 8, 2u);
     EXPECT_EXIT({ trace::ReplayFile f(path); },
                 ::testing::ExitedWithCode(1),
-                "is format version " +
-                    std::to_string(trace::kReplayVersion - 1) +
-                    "; this build reads version " +
-                    std::to_string(trace::kReplayVersion));
+                "is format version 2; this build reads version 3");
 }
 
 TEST(ReplayDeathTest, CorruptStreamEntryIsRejected)
@@ -436,6 +448,8 @@ TEST(ReplayDeathTest, SeededSingleByteFlipsAreRejected)
     // 16 single-byte flips spread over the header, the stream table
     // and the frames: every one must be a clean fatal, never a replay.
     const std::string clean = writeSmallFile("flip_clean", 1);
+    ASSERT_EQ(trace::ReplayFile(clean).stream(0).frame_stride, 864u)
+        << "the flips must land in a v3 file";
     const std::size_t size = std::filesystem::file_size(clean);
     const std::size_t bounds[] = {0, kHeaderBytes,
                                   kHeaderBytes + kEntryBytes, size};
