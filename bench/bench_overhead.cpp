@@ -374,7 +374,7 @@ BENCHMARK(BM_GovernorLoopInterval);
 void
 BM_ReplayFileOpen(benchmark::State &state)
 {
-    // ~16 MB: 8 FX-8320 streams of 1250 frames (1680 B each), all
+    // ~8.6 MB: 8 FX-8320 streams of 1250 frames (864 B each), all
     // encoding one collected interval.
     const sim::ChipConfig cfg = sim::fx8320Config();
     sim::Chip chip(cfg, bench::kSeed);

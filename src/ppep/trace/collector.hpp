@@ -33,8 +33,9 @@ class IntervalSource
 
     /**
      * Run one full interval into a caller-owned record, reusing its
-     * vectors — the allocation-free steady-state path. Every field is
-     * overwritten.
+     * vectors — the allocation-free steady-state path. Every observed
+     * field is overwritten; ground truth only by simulated sources (a
+     * ReplaySource leaves it as the record holds it).
      */
     virtual void collectIntervalInto(IntervalRecord &rec)
         PPEP_NONBLOCKING = 0;

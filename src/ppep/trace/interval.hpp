@@ -47,6 +47,8 @@ struct IntervalRecord
     sim::VfState nb_vf{};
 
     // --- ground truth (validation only) ---------------------------------
+    // Filled by the Collector on a simulated chip. Replay frames do not
+    // store it and DigestSink does not hash it.
     /** Per-core true event counts (no multiplexing). */
     std::vector<sim::EventVector> oracle;
     /** Mean true total power, watts. */

@@ -50,8 +50,7 @@
  * power sensor, the diode) and the context it was governed in. The
  * simulator's ground truth — oracle counts, the true_* means and
  * nb_utilization — is not recorded: a replayed record leaves it unset
- * (oracle empty, scalars at their defaults). Version 2 frames stored
- * it, 102 more words per FX-8320 frame.
+ * (oracle empty, scalars at their defaults).
  *
  * Checksum (since version 2): wide FNV-1a over the range read as
  * little-endian u64 words — starting from the FNV-1a 64-bit offset
