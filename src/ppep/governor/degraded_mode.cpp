@@ -9,7 +9,7 @@ namespace ppep::governor {
 
 DegradedModeGovernor::DegradedModeGovernor(const sim::Chip &chip,
                                            Governor &inner)
-    : chip_(chip), inner_(&inner),
+    : chip_(chip), inner_(inner),
       last_predicted_w_(std::numeric_limits<double>::quiet_NaN())
 {
 }
@@ -30,8 +30,8 @@ DegradedModeGovernor::decideInto(const trace::IntervalRecord &rec,
     PPEP_NONBLOCKING
 {
     if (!degraded_now_) {
-        inner_->decideInto(rec, cap_w, out);
-        last_predicted_w_ = inner_->lastPredictedPower();
+        inner_.decideInto(rec, cap_w, out);
+        last_predicted_w_ = inner_.lastPredictedPower();
         return;
     }
 
@@ -64,19 +64,19 @@ DegradedModeGovernor::decideNb() PPEP_NONBLOCKING
 {
     if (degraded_now_)
         return std::nullopt;
-    return inner_->decideNb();
+    return inner_.decideNb();
 }
 
 std::string
 DegradedModeGovernor::name() const
 {
-    return "degraded-mode(" + inner_->name() + ")";
+    return "degraded-mode(" + inner_.name() + ")";
 }
 
 const std::vector<model::VfPrediction> *
 DegradedModeGovernor::lastExploration() const PPEP_NONBLOCKING
 {
-    return degraded_now_ ? nullptr : inner_->lastExploration();
+    return degraded_now_ ? nullptr : inner_.lastExploration();
 }
 
 double

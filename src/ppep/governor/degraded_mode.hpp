@@ -91,19 +91,9 @@ class DegradedModeGovernor : public Governor
     /** Decisions taken in degraded mode so far. */
     std::size_t degradedIntervals() const { return degraded_intervals_; }
 
-    /**
-     * Re-point the wrapper at a fresh inner policy — the recalibration
-     * hot-swap. Called between decisions (from the step observer, off
-     * the annotated decide path); @p g must outlive the governor.
-     */
-    void setInner(Governor &g) { inner_ = &g; }
-
-    /** The inner policy currently wrapped. */
-    const Governor &inner() const { return *inner_; }
-
   private:
     const sim::Chip &chip_;
-    Governor *inner_;
+    Governor &inner_;
     bool degraded_now_ = false;
     std::size_t degraded_intervals_ = 0;
     double last_predicted_w_;

@@ -194,9 +194,6 @@ Fleet::buildHarness(std::size_t index, Harness &h)
     }
 
     const ModelEntry &entry = entryOf(index);
-    const std::optional<RecalibrationPolicy> &recal =
-        ss.recalibration ? ss.recalibration
-                         : spec_.default_recalibration;
 
     auto builder = Session::builder(entry.cfg)
                        .seed(ss.seed)
@@ -211,11 +208,9 @@ Fleet::buildHarness(std::size_t index, Harness &h)
         // A hardened session's frames carry the health block: the
         // replayed run must reconstruct the same SampleHealth the
         // digest hashed live.
-        const bool with_health = ss.faults.has_value() ||
-                                 recal.has_value();
         recorders_[index] = std::make_unique<RecorderSink>(
             ss.name, entry.fingerprint, entry.cfg.coreCount(),
-            entry.cfg.n_cus, with_health);
+            entry.cfg.n_cus, ss.faults.has_value());
         builder.sink(*recorders_[index]);
     }
     if (!spec_.replay_path.empty()) {
@@ -240,22 +235,10 @@ Fleet::buildHarness(std::size_t index, Harness &h)
         builder.governor(ss.governor);
     else if (spec_.default_governor)
         builder.governor(spec_.default_governor);
-    if (ss.schedule)
-        builder.schedule(*ss.schedule);
-    else if (spec_.default_schedule)
-        builder.schedule(*spec_.default_schedule);
     if (ss.faults)
         builder.faults(*ss.faults);
     if (ss.fault_seed)
         builder.faultSeed(*ss.fault_seed);
-    if (recal) {
-        builder.recalibration(*recal);
-        // The session's lineage journal rides on the fleet store
-        // (safe alongside sharedModels: the shared entry wins model
-        // acquisition, the store is only consulted for lineage).
-        if (spec_.store)
-            builder.store(*spec_.store);
-    }
 
     h.session.emplace(builder.build());
 }

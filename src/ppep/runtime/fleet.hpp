@@ -18,8 +18,8 @@
  * never synchronise with each other while governing.
  *
  * Determinism contract: a session's telemetry stream is a pure
- * function of its spec (config, seed, jobs, governor, schedule, fault
- * plan, tenants). The thread pool only changes *when* a session runs,
+ * function of its spec (config, seed, jobs, governor, fault plan,
+ * tenants). The thread pool only changes *when* a session runs,
  * never what it computes, so per-session results are bit-identical at
  * any thread count — including serial. test_runtime_fleet asserts this
  * with DigestSink digests, for homogeneous and mixed fleets alike.
@@ -61,15 +61,10 @@ struct FleetSessionSpec
     std::vector<std::string> one_per_cu;
     /** Policy; empty falls back to the fleet default (EDP). */
     GovernorFactory governor;
-    /** Cap schedule; nullopt falls back to the fleet default. */
-    std::optional<ppep::governor::CapSchedule> schedule;
     /** Per-session fault plan (hardened path); nullopt = plain. */
     std::optional<sim::FaultPlan> faults;
     /** Fault stream seed; nullopt derives from the chip seed. */
     std::optional<std::uint64_t> fault_seed;
-    /** Per-session online recalibration; nullopt falls back to the
-     *  fleet default (which may itself be off). */
-    std::optional<RecalibrationPolicy> recalibration;
     /**
      * This session's chip; nullopt inherits the fleet default. Sessions
      * whose configs fingerprint identically share one trained-model
@@ -105,11 +100,6 @@ struct FleetSpec
         training_combos;
     /** Fleet-default policy; empty = EDP-optimal. */
     GovernorFactory default_governor;
-    /** Fleet-default cap schedule; nullopt = unlimited. */
-    std::optional<ppep::governor::CapSchedule> default_schedule;
-    /** Fleet-default recalibration; nullopt = off. Sessions running
-     *  with a store() also journal adoptions to its lineage log. */
-    std::optional<RecalibrationPolicy> default_recalibration;
     /** Warm-up intervals per session. */
     std::size_t warmup = 0;
     /** Governed intervals per session. */
@@ -190,10 +180,12 @@ struct FleetResult
 };
 
 /**
- * Runs a FleetSpec on a fixed-size worker pool. Workers pull session
- * indices from a shared atomic counter; each session is built, driven
- * and torn down entirely on one worker. A session that throws is
- * recorded as failed without taking the pool down.
+ * Runs a FleetSpec on a fixed-size worker pool. Free-running, workers
+ * pull session indices from a shared atomic counter and each session
+ * is built, driven and torn down entirely on one worker. Arbitrated
+ * (FleetSpec::arbiter), every session is built on the calling thread,
+ * then workers drive contiguous slices of them in lockstep. A session
+ * that throws is recorded as failed without taking the pool down.
  */
 class Fleet
 {

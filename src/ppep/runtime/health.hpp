@@ -86,23 +86,6 @@ class HealthMonitor
     /** Intervals observed so far. */
     std::size_t intervalsObserved() const { return intervals_; }
 
-    /**
-     * A recalibrated model was just swapped in: the divergence history
-     * was earned by the retired model, so the EWMA restarts from zero
-     * and the clean streak with it. The degraded latch is untouched —
-     * re-promotion still requires kRepromoteClean genuinely clean
-     * intervals under the incoming model.
-     */
-    void noteModelSwap() PPEP_NONBLOCKING
-    {
-        divergence_ewma_ = 0.0;
-        clean_streak_ = 0;
-        ++model_swaps_;
-    }
-
-    /** Model swaps noted so far. */
-    std::size_t modelSwaps() const { return model_swaps_; }
-
   private:
     bool degraded_ = false;
     double divergence_ewma_ = 0.0;
@@ -110,7 +93,6 @@ class HealthMonitor
     std::size_t demotions_ = 0;
     std::size_t repromotions_ = 0;
     std::size_t intervals_ = 0;
-    std::size_t model_swaps_ = 0;
 };
 
 } // namespace ppep::runtime

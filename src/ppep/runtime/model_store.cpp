@@ -375,68 +375,6 @@ acquireModels(const sim::ChipConfig &cfg, std::uint64_t seed,
     return model::Trainer(cfg, seed).trainAll(fitting);
 }
 
-void
-ModelStore::appendLineage(const std::string &platform,
-                          std::uint64_t fingerprint,
-                          std::uint64_t generation,
-                          std::uint64_t parent_digest,
-                          std::uint64_t digest, const std::string &reason,
-                          std::uint64_t trigger_interval, double cv_mae_w,
-                          double incumbent_mae_w) const
-{
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec)
-        PPEP_FATAL("cannot create model cache dir '", dir_,
-                   "': ", ec.message());
-    const std::string path = (fs::path(dir_) / "lineage.log").string();
-    const auto path_mu = pathLockFor(path);
-    util::MutexLock lock(*path_mu);
-    std::FILE *f = std::fopen(path.c_str(), "ae");
-    if (!f)
-        PPEP_FATAL("cannot open lineage journal '", path, "'");
-    std::fprintf(f,
-                 "platform=%s fingerprint=%016llx gen=%llu "
-                 "parent=%016llx digest=%016llx reason=%s "
-                 "trigger_interval=%llu cv_mae_w=%.17g "
-                 "incumbent_mae_w=%.17g\n",
-                 platform.c_str(),
-                 static_cast<unsigned long long>(fingerprint),
-                 static_cast<unsigned long long>(generation),
-                 static_cast<unsigned long long>(parent_digest),
-                 static_cast<unsigned long long>(digest), reason.c_str(),
-                 static_cast<unsigned long long>(trigger_interval),
-                 cv_mae_w, incumbent_mae_w);
-    const bool ok = std::fflush(f) == 0 && !std::ferror(f);
-    std::fclose(f);
-    if (!ok)
-        PPEP_FATAL("lineage journal write failed ('", path, "')");
-}
-
-std::vector<std::string>
-ModelStore::lineageLines() const
-{
-    const std::string path = (fs::path(dir_) / "lineage.log").string();
-    const auto path_mu = pathLockFor(path);
-    util::MutexLock lock(*path_mu);
-    std::vector<std::string> out;
-    std::FILE *f = std::fopen(path.c_str(), "re");
-    if (!f)
-        return out;
-    std::string line;
-    for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
-        if (c == '\n') {
-            out.push_back(line);
-            line.clear();
-        } else {
-            line += static_cast<char>(c);
-        }
-    }
-    if (!line.empty())
-        out.push_back(line);
-    std::fclose(f);
-    return out;
-}
 
 std::uint64_t
 ModelStore::trainEvents()

@@ -106,25 +106,6 @@ class ModelStore
     void save(const ModelKey &key, const model::TrainedModels &models) const;
 
     /**
-     * Append one line to the store's model-lineage journal
-     * (`<cache_dir>/lineage.log`): who refit what, from which parent,
-     * why, and how well it scored — the audit trail behind online
-     * recalibration. Thread-safe (one in-process lock per journal) and
-     * append-only; a crashed writer loses at most its own line.
-     */
-    void appendLineage(const std::string &platform,
-                       std::uint64_t fingerprint,
-                       std::uint64_t generation,
-                       std::uint64_t parent_digest, std::uint64_t digest,
-                       const std::string &reason,
-                       std::uint64_t trigger_interval, double cv_mae_w,
-                       double incumbent_mae_w) const;
-
-    /** Every line of the lineage journal, oldest first (empty when the
-     *  journal does not exist yet). */
-    std::vector<std::string> lineageLines() const;
-
-    /**
      * Process-wide count of actual Trainer runs performed by
      * trainOrLoad() (i.e. cache misses that trained). Concurrent
      * trainOrLoad() calls for one key serialise on an in-process

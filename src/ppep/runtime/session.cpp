@@ -37,11 +37,11 @@ energyGovernor()
 }
 
 GovernorFactory
-cappingGovernor(double guard_band)
+cappingGovernor()
 {
-    return [guard_band](const ModelContext &ctx) {
-        return std::make_unique<governor::PpepCappingGovernor>(
-            ctx.cfg, ctx.ppep, guard_band);
+    return [](const ModelContext &ctx) {
+        return std::make_unique<governor::PpepCappingGovernor>(ctx.cfg,
+                                                               ctx.ppep);
     };
 }
 
@@ -76,12 +76,6 @@ struct Session::State
     std::optional<Sampler> sampler;
     std::optional<HealthMonitor> monitor;
     std::unique_ptr<governor::DegradedModeGovernor> degraded_gov;
-    /** Online recalibration; owns the refit generations degraded_gov
-     *  points at once one is adopted. */
-    std::unique_ptr<Recalibrator> recal;
-    /** Store whose lineage journal adopted generations are appended
-     *  to; set only when the session was built with both. */
-    std::optional<ModelStore> lineage_store;
     std::vector<std::string> sink_errors;
     // Replay ingest: the session reads recorded intervals instead of
     // simulating. The frame's context replaces what the chip would
@@ -239,13 +233,6 @@ Session::Builder::replay(trace::ReplaySource &src)
     return *this;
 }
 
-Session::Builder &
-Session::Builder::recalibration(const RecalibrationPolicy &p)
-{
-    recal_policy_ = p;
-    return *this;
-}
-
 Session
 Session::Builder::build()
 {
@@ -343,39 +330,12 @@ Session::Builder::build()
             fault_seed_ ? *fault_seed_
                         : chip_seed_ ^ 0x9E3779B97F4A7C15ULL;
         state->chip->setFaultPlan(*plan_, fseed);
-    }
-    if (plan_ || recal_policy_) {
         state->sampler.emplace(*state->chip);
         state->monitor.emplace();
         state->degraded_gov =
             std::make_unique<governor::DegradedModeGovernor>(
                 *state->chip, *state->gov);
         state->gov = state->degraded_gov.get();
-    }
-
-    // Online recalibration: a refitter that rebuilds the policy over
-    // swapped-in models, so it cannot manage a policy it does not know
-    // how to construct.
-    if (recal_policy_) {
-        PPEP_ASSERT(external_gov_ == nullptr,
-                    "recalibration rebuilds the governor from its "
-                    "factory; it cannot manage an external policy");
-        PPEP_ASSERT(state->models != nullptr,
-                    "recalibration requires trained models");
-        const GovernorFactory factory =
-            factory_ ? factory_ : edpGovernor();
-        const std::uint64_t tseed = training_seed_;
-        GovernorRebuilder rebuild =
-            [factory, tseed](const sim::ChipConfig &cfg,
-                             const model::TrainedModels &m,
-                             const model::Ppep &p) {
-                return factory(ModelContext{cfg, m, p, tseed});
-            };
-        state->recal = std::make_unique<Recalibrator>(
-            state->cfg, *state->models, std::move(rebuild), training_seed_,
-            *recal_policy_);
-        if (store_)
-            state->lineage_store = *store_;
     }
 
     state->replay = replay_;
@@ -502,15 +462,6 @@ Session::observe(double decision_latency_s)
     t.degraded = s.degraded_gov ? s.degraded_gov->degradedNow() : false;
     if (s.monitor)
         t.divergence_ewma_w = s.monitor->divergenceEwma();
-    if (s.recal) {
-        s.recal->observeInterval(
-            step.rec, !t.health || t.health->faultEvents() == 0);
-        t.recal_active = true;
-        t.model_generation = s.recal->generation();
-        t.recal_triggers = s.recal->triggers();
-        t.recal_accepted = s.recal->accepted();
-        t.recal_rejected = s.recal->rejected();
-    }
     if (s.attributor) {
         s.attributor->attributeInto(step.rec, s.pg, s.attribution);
         t.tenants = &s.attribution;
@@ -521,23 +472,6 @@ Session::observe(double decision_latency_s)
     // The decision that just ran governs the *next* interval; hold its
     // forecast until that interval's record arrives.
     s.pending_pred = s.gov->lastPredictedPower();
-    // A refit runs after the sinks, which have read this interval's
-    // exploration from the governor an adoption retires. An adopted
-    // generation governs from the next decision on, with a fresh
-    // divergence EWMA.
-    if (s.recal) {
-        if (const auto *ver = s.recal->maybeRefit(
-                step.rec, s.monitor->divergenceEwma(), t.index)) {
-            s.degraded_gov->setInner(*ver->gov);
-            s.monitor->noteModelSwap();
-            const RefitRecord &r = ver->record;
-            if (s.lineage_store)
-                s.lineage_store->appendLineage(
-                    s.cfg.name, platformFingerprint(s.cfg), r.generation,
-                    r.parent_digest, r.digest, "drift-refit",
-                    r.trigger_interval, r.cv_mae_w, r.incumbent_mae_w);
-        }
-    }
 }
 
 void
@@ -649,12 +583,6 @@ const ppep::governor::DegradedModeGovernor *
 Session::degradedGovernor() const
 {
     return state_->degraded_gov.get();
-}
-
-const Recalibrator *
-Session::recalibrator() const
-{
-    return state_->recal.get();
 }
 
 const TenantAttributor *

@@ -44,7 +44,6 @@
 #include "ppep/model/trainer.hpp"
 #include "ppep/runtime/health.hpp"
 #include "ppep/runtime/model_store.hpp"
-#include "ppep/runtime/recalibrate.hpp"
 #include "ppep/runtime/sampler.hpp"
 #include "ppep/runtime/telemetry.hpp"
 #include "ppep/runtime/tenant.hpp"
@@ -77,7 +76,7 @@ GovernorFactory edpGovernor();
 GovernorFactory energyGovernor();
 
 /** PPEP one-step power capping (Sec. V-B). */
-GovernorFactory cappingGovernor(double guard_band = 0.02);
+GovernorFactory cappingGovernor();
 
 /** A governed run: chip + jobs + models + policy + telemetry. */
 class Session
@@ -194,19 +193,6 @@ class Session
          */
         Builder &replay(trace::ReplaySource &src);
 
-        /**
-         * Run a Recalibrator alongside the hardened loop (implies the
-         * hardened path): when the divergence EWMA crosses the policy's
-         * recalibrate threshold, the dynamic-power weights are refit
-         * during that interval's telemetry hand-off, after its sinks,
-         * and — if they beat the incumbent — govern from the next
-         * decision on. Incompatible with an external governor (the
-         * Recalibrator must be able to rebuild the policy over the
-         * refit models). When the session also has a store(), adopted
-         * generations are journalled to the store's lineage log.
-         */
-        Builder &recalibration(const RecalibrationPolicy &p);
-
         /** Assemble the session (trains or loads models as needed). */
         Session build();
 
@@ -230,7 +216,6 @@ class Session
         std::vector<TenantSpec> tenants_;
         std::optional<sim::FaultPlan> plan_;
         std::optional<std::uint64_t> fault_seed_;
-        std::optional<RecalibrationPolicy> recal_policy_;
         trace::ReplaySource *replay_ = nullptr;
     };
 
@@ -277,7 +262,7 @@ class Session
     bool modelsWereCached() const;
 
     /** True when this session runs the hardened acquisition path:
-     *  it was built with faults() or recalibration(). */
+     *  it was built with faults(). */
     bool hardened() const;
 
     /** Hardened sampler; nullptr on plain sessions. */
@@ -288,9 +273,6 @@ class Session
 
     /** Degraded-mode wrapper; nullptr on plain sessions. */
     const ppep::governor::DegradedModeGovernor *degradedGovernor() const;
-
-    /** Online recalibrator; nullptr when recalibration is off. */
-    const Recalibrator *recalibrator() const;
 
     /** Tenant attributor; nullptr when the session has no tenants. */
     const TenantAttributor *tenantAttributor() const;

@@ -106,7 +106,6 @@ CsvSink::onInterval(const IntervalTelemetry &t)
         // Fault columns appear only on hardened runs; tenant columns
         // only on sessions that define tenants.
         with_health_ = t.health != nullptr;
-        with_recal_ = t.recal_active;
         with_tenants_ = t.tenants != nullptr;
         os << "interval,time_s,cap_w";
         for (std::size_t i = 0; i < t.cu_vf->size(); ++i)
@@ -120,9 +119,6 @@ CsvSink::onInterval(const IntervalTelemetry &t)
             os << ",fault_events,substituted_cores,zeroed_cores,"
                   "sensor_rejects,diode_rejects,degraded,"
                   "divergence_ewma_w";
-        if (with_recal_)
-            os << ",model_gen,recal_triggers,recal_accepted,"
-                  "recal_rejected";
         if (with_tenants_) {
             for (const auto &name : *t.tenant_names)
                 os << ",tenant_" << name << "_w";
@@ -187,16 +183,6 @@ CsvSink::encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING
         } else {
             row.append(std::string_view{",0,0,0,0,0,0,"});
         }
-    }
-    if (with_recal_) {
-        row.append(',');
-        row.appendU64(t.model_generation);
-        row.append(',');
-        row.appendU64(t.recal_triggers);
-        row.append(',');
-        row.appendU64(t.recal_accepted);
-        row.append(',');
-        row.appendU64(t.recal_rejected);
     }
     if (with_tenants_ && t.tenants) {
         for (double w : t.tenants->total_w) {
@@ -269,16 +255,6 @@ JsonlSink::encodeRow(const IntervalTelemetry &t) PPEP_NONALLOCATING
         row.append(std::string_view{t.degraded ? "true" : "false"});
         row.append(std::string_view{",\"divergence_ewma_w\":"});
         row.appendJsonDouble(t.divergence_ewma_w);
-    }
-    if (t.recal_active) {
-        row.append(std::string_view{",\"model_gen\":"});
-        row.appendU64(t.model_generation);
-        row.append(std::string_view{",\"recal_triggers\":"});
-        row.appendU64(t.recal_triggers);
-        row.append(std::string_view{",\"recal_accepted\":"});
-        row.appendU64(t.recal_accepted);
-        row.append(std::string_view{",\"recal_rejected\":"});
-        row.appendU64(t.recal_rejected);
     }
     if (t.tenants && t.tenant_names) {
         const TenantAttribution &a = *t.tenants;
@@ -379,15 +355,6 @@ DigestSink::onInterval(const IntervalTelemetry &t) PPEP_NONBLOCKING
             mixU64(w);
         mixDouble(t.divergence_ewma_w);
     }
-
-    // Gated so that plain-session digests (the committed bench
-    // baselines) are unchanged by the recalibration columns.
-    if (t.recal_active) {
-        mixU64(t.model_generation);
-        mixU64(t.recal_triggers);
-        mixU64(t.recal_accepted);
-        mixU64(t.recal_rejected);
-    }
 }
 
 // --- SummarySink ---------------------------------------------------------
@@ -445,13 +412,6 @@ SummarySink::onInterval(const IntervalTelemetry &t)
     if (t.health)
         fault_events_ += t.health->faultEvents();
     last_divergence_w_ = t.divergence_ewma_w;
-    if (t.recal_active) {
-        recal_seen_ = true;
-        last_generation_ = t.model_generation;
-        last_triggers_ = t.recal_triggers;
-        last_accepted_ = t.recal_accepted;
-        last_rejected_ = t.recal_rejected;
-    }
     if (t.degraded) {
         ++degraded_intervals_;
         if (!last_degraded_)
@@ -494,10 +454,6 @@ SummarySink::summary() const
     s.degraded_intervals = degraded_intervals_;
     s.demotions = demotions_;
     s.final_divergence_ewma_w = last_divergence_w_;
-    s.model_generation = last_generation_;
-    s.recal_triggers = last_triggers_;
-    s.recal_accepted = last_accepted_;
-    s.recal_rejected = last_rejected_;
     s.tenant_names = tenant_names_;
     s.tenant_energy_j = tenant_energy_j_;
     s.tenant_mean_power_w = tenant_power_sum_w_;
@@ -544,19 +500,6 @@ SummarySink::print(std::ostream &out) const
         row.append(std::string_view{" ("});
         row.appendU64(s.demotions);
         row.append(std::string_view{" demotions)\n"});
-    }
-    if (recal_seen_) {
-        row.append(std::string_view{"  recalibration: generation "});
-        row.appendU64(s.model_generation);
-        row.append(std::string_view{", "});
-        row.appendU64(s.recal_triggers);
-        row.append(std::string_view{" refits ("});
-        row.appendU64(s.recal_accepted);
-        row.append(std::string_view{" adopted, "});
-        row.appendU64(s.recal_rejected);
-        row.append(std::string_view{" rejected), divergence EWMA "});
-        row.appendFixed(s.final_divergence_ewma_w, 2);
-        row.append(std::string_view{" W\n"});
     }
     for (std::size_t i = 0; i < s.tenant_names.size(); ++i) {
         row.append(std::string_view{"  tenant "});

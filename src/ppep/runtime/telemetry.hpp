@@ -86,23 +86,6 @@ struct IntervalTelemetry
      *  this interval, watts; NaN on plain (non-hardened) sessions. */
     double divergence_ewma_w = std::numeric_limits<double>::quiet_NaN();
 
-    /** True when the session runs an online Recalibrator — the
-     *  model_generation and recal_* fields below are then live. */
-    bool recal_active = false;
-
-    /** Model generation governing this interval (0 = the offline-
-     *  trained models; each adopted refit increments it). */
-    std::uint64_t model_generation = 0;
-
-    /** Refits triggered so far. */
-    std::uint64_t recal_triggers = 0;
-
-    /** Refits adopted (hot-swapped in) so far. */
-    std::uint64_t recal_accepted = 0;
-
-    /** Refits rejected by the acceptance gate so far. */
-    std::uint64_t recal_rejected = 0;
-
     /** Per-tenant power attribution for this interval; nullptr when the
      *  session defines no tenants. Valid only during the callback. */
     const TenantAttribution *tenants = nullptr;
@@ -212,7 +195,6 @@ class CsvSink : public StreamSink
 
     bool header_written_ = false;
     bool with_health_ = false;
-    bool with_recal_ = false;
     bool with_tenants_ = false;
 };
 
@@ -241,8 +223,7 @@ class JsonlSink : public StreamSink
  * (the interval's sensor power, diode temperature, per-core PMC counts,
  * VF context and busy-core count, and the health words of a hardened
  * session) plus what the pipeline decided from it (predicted power,
- * exploration rows, next VFs, tenant split, degraded flag,
- * recalibration counters). decision_latency_s (wall clock) is excluded,
+ * exploration rows, next VFs, tenant split, degraded flag). decision_latency_s (wall clock) is excluded,
  * and so is the simulator's ground truth (oracle counts, true_* means,
  * nb_utilization): a replay does not carry it, so a recorded session
  * and its replay agree because both hash the same observed fields.
@@ -314,14 +295,6 @@ class SummarySink : public TelemetrySink
         double final_divergence_ewma_w =
             std::numeric_limits<double>::quiet_NaN();
 
-        /** Model generation governing the final interval. */
-        std::uint64_t model_generation = 0;
-
-        /** Refits triggered / adopted / rejected over the run. */
-        std::uint64_t recal_triggers = 0;
-        std::uint64_t recal_accepted = 0;
-        std::uint64_t recal_rejected = 0;
-
         /** Tenant names (empty when the run had no tenants). */
         std::vector<std::string> tenant_names;
 
@@ -364,12 +337,7 @@ class SummarySink : public TelemetrySink
     std::size_t degraded_intervals_ = 0;
     std::size_t demotions_ = 0;
     bool last_degraded_ = false;
-    bool recal_seen_ = false;
     double last_divergence_w_ = std::numeric_limits<double>::quiet_NaN();
-    std::uint64_t last_generation_ = 0;
-    std::uint64_t last_triggers_ = 0;
-    std::uint64_t last_accepted_ = 0;
-    std::uint64_t last_rejected_ = 0;
     double abs_err_sum_w_ = 0.0;
     std::size_t predicted_ = 0;
     double power_sum_w_ = 0.0;

@@ -392,106 +392,4 @@ TEST(GoldenDigest, CollectorTruth)
                                               : " under " + plan));
 }
 
-/** The tight policy of the Recalibrate.* tests: a small ring and a
- *  quick cooldown, so a few hundred drifting intervals trigger, adopt
- *  and reject several refits. */
-runtime::RecalibrationPolicy
-tightRecalPolicy()
-{
-    runtime::RecalibrationPolicy p;
-    p.recal_divergence_w = 6.0;
-    p.ring_capacity = 64;
-    p.min_ring_fill = 32;
-    p.cooldown_intervals = 16;
-    p.min_improvement = 0.05;
-    return p;
-}
-
-sim::FaultPlan
-sensorDrift()
-{
-    sim::FaultPlan plan;
-    plan.power_drift_bias = 5e-4;
-    plan.drift_clamp = 0.4;
-    return plan;
-}
-
-/** FNV-1a over every field of a refit lineage, the MAEs by their bits. */
-std::uint64_t
-lineageDigest(const std::vector<runtime::RefitRecord> &lineage)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto &r : lineage) {
-        fnvMix(h, r.generation);
-        fnvMix(h, r.parent_digest);
-        fnvMix(h, r.digest);
-        fnvMix(h, r.accepted ? 1u : 0u);
-        for (const char *c = r.verdict; *c != '\0'; ++c)
-            fnvMix(h, static_cast<unsigned char>(*c));
-        fnvMix(h, r.trigger_interval);
-        fnvMix(h, std::bit_cast<std::uint64_t>(r.trigger_ewma_w));
-        fnvMix(h, std::bit_cast<std::uint64_t>(r.cv_mae_w));
-        fnvMix(h, std::bit_cast<std::uint64_t>(r.incumbent_mae_w));
-        fnvMix(h, r.ring_rows);
-    }
-    return h;
-}
-
-TEST(GoldenDigest, RecalibratingSessionRefitsAndAdopts)
-{
-    DigestSink digest;
-    auto session = Session::builder(sim::fx8320Config())
-                       .seed(1)
-                       .trainingSeed(91)
-                       .models(fxModels())
-                       .onePerCu({"EP", "CG", "458.sjeng", "EP"})
-                       .faults(sensorDrift())
-                       .recalibration(tightRecalPolicy())
-                       .sink(digest)
-                       .build();
-    ASSERT_EQ(session.drive(300), 300u);
-    const runtime::Recalibrator *rc = session.recalibrator();
-    ASSERT_NE(rc, nullptr);
-    // Both verdict paths must run, or the digests pin less than they
-    // claim to.
-    EXPECT_GE(rc->accepted(), 2u);
-    EXPECT_GE(rc->rejected(), 1u);
-    expectDigest(digest.digest(), 0x5e9e836347b51cf8ULL,
-                 "recalibrating session");
-    expectDigest(lineageDigest(rc->lineage()), 0xaf00b970ec0653d2ULL,
-                 "recalibrating session lineage");
-}
-
-TEST(GoldenDigest, RecalibratingArbitratedFleetAtOneAndThreeThreads)
-{
-    static const std::vector<std::string> programs = {"EP", "CG",
-                                                      "458.sjeng"};
-    FleetSpec spec = fleetSpec(3, 300);
-    spec.default_recalibration = tightRecalPolicy();
-    for (std::size_t i = 0; i < spec.sessions.size(); ++i) {
-        spec.sessions[i].faults = sensorDrift();
-        spec.sessions[i].one_per_cu = {programs[i], "EP", "CG", "EP"};
-    }
-    runtime::ArbiterSpec arbiter;
-    arbiter.budget = CapSchedule({{0, 330.0}, {150, 240.0}});
-    spec.arbiter = std::move(arbiter);
-    Fleet fleet(std::move(spec));
-    const std::array<std::uint64_t, 3> want = {0xd2f64894ef6e690fULL,
-                                               0x2c94e444e18f8e23ULL,
-                                               0x40994a06ee456c08ULL};
-    const FleetResult serial = fleet.run(1);
-    expectFleetDigests(serial, want,
-                       "recalibrating arbitrated fleet, 1 thread");
-    // Every session must adopt a refit and the budget must bind, or the
-    // digests pin less than they claim to.
-    double throttled_w = 0.0;
-    for (const auto &s : serial.sessions) {
-        EXPECT_GE(s.summary.recal_accepted, 1u);
-        throttled_w += s.mean_throttled_w;
-    }
-    EXPECT_GT(throttled_w, 0.0);
-    expectFleetDigests(fleet.run(3), want,
-                       "recalibrating arbitrated fleet, 3 threads");
-}
-
 } // namespace

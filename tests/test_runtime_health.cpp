@@ -261,58 +261,4 @@ TEST(HealthMonitor, FaultEventsExactlyAtThresholdDemote)
     EXPECT_TRUE(at.degraded());
 }
 
-// --- model swaps --------------------------------------------------------
-
-TEST(HealthMonitor, ModelSwapResetsEwmaAndStreak)
-{
-    HealthMonitor mon;
-    for (int i = 0; i < 20; ++i)
-        mon.observe(cleanInterval(), 60.0, 70.0);
-    ASSERT_GT(mon.divergenceEwma(), 0.0);
-    mon.noteModelSwap();
-    EXPECT_EQ(mon.divergenceEwma(), 0.0);
-    EXPECT_EQ(mon.cleanStreak(), 0u);
-    EXPECT_EQ(mon.modelSwaps(), 1u);
-}
-
-TEST(HealthMonitor, ModelSwapDoesNotLiftTheDegradedLatch)
-{
-    // A swap mid-recovery erases the streak earned under the retired
-    // model; re-promotion needs kRepromoteClean fresh intervals under
-    // the new one.
-    HealthMonitor mon;
-    mon.observe(faultyInterval(10), 60.0, 60.0);
-    ASSERT_TRUE(mon.degraded());
-    const std::size_t need = HealthMonitor::kRepromoteClean;
-    for (std::size_t i = 1; i < need; ++i)
-        mon.observe(cleanInterval(), kNaN, 60.0);
-    mon.noteModelSwap();
-    EXPECT_TRUE(mon.degraded());
-    for (std::size_t i = 1; i < need; ++i) {
-        mon.observe(cleanInterval(), kNaN, 60.0);
-        EXPECT_TRUE(mon.degraded()) << "after " << i << " clean";
-    }
-    mon.observe(cleanInterval(), kNaN, 60.0);
-    EXPECT_FALSE(mon.degraded());
-    EXPECT_EQ(mon.repromotions(), 1u);
-}
-
-TEST(HealthMonitor, SwapWhileHealthyKeepsGoverning)
-{
-    // The re-promotion hysteresis path of a swap on a healthy session:
-    // an EWMA on the demote line restarts from zero, so the session
-    // does not demote on post-swap residue.
-    static_assert(HealthMonitor::kEwmaAlpha == 0.25);
-    HealthMonitor mon;
-    mon.observe(cleanInterval(), 0.0,
-                4.0 * HealthMonitor::kDemoteDivergenceW); // at, not over
-    ASSERT_EQ(mon.divergenceEwma(), HealthMonitor::kDemoteDivergenceW);
-    ASSERT_FALSE(mon.degraded());
-    mon.noteModelSwap();
-    EXPECT_EQ(mon.divergenceEwma(), 0.0);
-    mon.observe(cleanInterval(), 60.0, 62.0);
-    EXPECT_FALSE(mon.degraded());
-    EXPECT_EQ(mon.divergenceEwma(), 0.5);
-}
-
 } // namespace

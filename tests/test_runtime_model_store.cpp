@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ppep/model/ppep.hpp"
 #include "ppep/runtime/model_store.hpp"
@@ -294,34 +295,45 @@ TEST(ModelStore, PathLockRegistryStaysBounded)
 {
     const std::size_t cap = ModelStore::pathLockCapacity();
     ASSERT_GT(cap, 0u);
+    const auto cfg = sim::fx8320Config();
+    const auto combos = smallTrainingSet();
 
-    // Touch far more distinct lock paths than the cap: every store's
-    // lineage journal locks its own path, and nobody holds a handle
-    // between calls, so idle entries must be evicted down to the cap.
+    // Train one entry, then serve copies of it from far more cache
+    // directories than the cap: every trainOrLoad() locks its own
+    // entry path, and nobody holds a handle between calls, so idle
+    // entries must be evicted down to the cap.
+    const ModelStore origin(freshCacheDir("lockreg_origin"));
+    (void)origin.trainOrLoad(cfg, 33, combos);
+    const std::filesystem::path entry =
+        origin.pathFor(ModelStore::keyFor(cfg, 33, combos));
+    std::vector<std::string> dirs;
     for (std::size_t i = 0; i < cap * 3; ++i) {
-        const ModelStore store(
-            freshCacheDir("lockreg_" + std::to_string(i)));
-        (void)store.lineageLines();
+        dirs.push_back(freshCacheDir("lockreg_" + std::to_string(i)));
+        std::filesystem::create_directories(dirs.back());
+        std::filesystem::copy_file(
+            entry, std::filesystem::path(dirs.back()) / entry.filename());
+        bool cached = false;
+        (void)ModelStore(dirs.back()).trainOrLoad(cfg, 33, combos,
+                                                  &cached);
+        EXPECT_TRUE(cached) << dirs.back();
     }
     EXPECT_LE(ModelStore::pathLockCount(), cap);
     EXPECT_GE(ModelStore::pathLockCount(), 1u);
+    for (const auto &d : dirs)
+        std::filesystem::remove_all(d);
 
-    // Bounding must not sacrifice per-path exclusion: concurrent
-    // appends to one journal still serialise and lose no lines.
+    // Bounding must not sacrifice per-path exclusion: racers on a
+    // fresh key, after the registry has evicted, still train once.
     const ModelStore store(freshCacheDir("lockreg_exclusion"));
+    const auto events_before = ModelStore::trainEvents();
     constexpr std::size_t kThreads = 4;
-    constexpr std::size_t kAppends = 8;
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < kThreads; ++t)
-        pool.emplace_back([&store, t] {
-            for (std::size_t i = 0; i < kAppends; ++i)
-                store.appendLineage("platform", 1,
-                                    t * kAppends + i, 0, 1, "test", i,
-                                    0.5, 1.0);
-        });
+        pool.emplace_back(
+            [&] { (void)store.trainOrLoad(cfg, 34, combos); });
     for (auto &th : pool)
         th.join();
-    EXPECT_EQ(store.lineageLines().size(), kThreads * kAppends);
+    EXPECT_EQ(ModelStore::trainEvents() - events_before, 1u);
 }
 
 TEST(ModelStore, Fnv1aMatchesReferenceVectors)

@@ -543,6 +543,42 @@ TEST(SessionReplay, RecordedSessionReplaysBitIdentically)
     EXPECT_EQ(replay_digest.digest(), live_digest.digest());
 }
 
+TEST(SessionReplayDeathTest, ScheduleMismatchIsFatal)
+{
+    // The replayed caps are cross-checked against the session's own
+    // schedule every interval: replaying an uncapped recording under a
+    // 60 W schedule must die, not silently re-label the stream.
+    const sim::ChipConfig cfg = sim::fx8320Config();
+    const std::uint64_t fp = runtime::platformFingerprint(cfg);
+    const std::string path = tracePath("caps");
+
+    runtime::RecorderSink recorder("solo", fp, cfg.coreCount(),
+                                   cfg.n_cus, false);
+    auto live = Session::builder(cfg)
+                    .seed(9)
+                    .trainingSeed(91)
+                    .trainingCombos(smallTrainingSet())
+                    .store(runtime::ModelStore(cacheDir()))
+                    .onePerCu({"EP"})
+                    .sink(recorder)
+                    .build();
+    ASSERT_EQ(live.drive(4), 4u);
+    trace::writeReplayFile(path, {&recorder.stream()});
+
+    trace::ReplayFile file(path);
+    trace::ReplaySource src(file, 0, fp);
+    auto replayed = Session::builder(cfg)
+                        .seed(9)
+                        .trainingSeed(91)
+                        .trainingCombos(smallTrainingSet())
+                        .store(runtime::ModelStore(cacheDir()))
+                        .onePerCu({"EP"})
+                        .replay(src)
+                        .schedule(governor::CapSchedule(60.0))
+                        .build();
+    EXPECT_DEATH(replayed.drive(1), "does not match the session schedule");
+}
+
 // --- fleet-level record -> replay ----------------------------------------
 
 /** Record @p spec, replay it, and require digest equality per session. */
@@ -630,24 +666,6 @@ TEST(FleetReplayDeathTest, ShortRecordingCannotServeLongerRun)
     spec.intervals = 8; // recorded 6
     Fleet replay_fleet(std::move(spec));
     EXPECT_DEATH(replay_fleet.run(1), "replay stream exhausted after");
-}
-
-TEST(FleetReplayDeathTest, ScheduleMismatchIsFatal)
-{
-    // The replayed caps are cross-checked against the session's own
-    // schedule every interval: replaying an uncapped recording under a
-    // 60 W schedule must die, not silently re-label the stream.
-    auto spec = baseSpec(1);
-    spec.record_path = tracePath("caps");
-    Fleet rec_fleet(spec);
-    ASSERT_EQ(rec_fleet.run(1).failed, 0u);
-
-    spec.record_path.clear();
-    spec.replay_path = tracePath("caps");
-    spec.default_schedule = ppep::governor::CapSchedule(60.0);
-    Fleet replay_fleet(std::move(spec));
-    EXPECT_DEATH(replay_fleet.run(1),
-                 "does not match the session schedule");
 }
 
 // --- zero-allocation audit of the warm replay path ------------------------

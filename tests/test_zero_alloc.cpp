@@ -302,53 +302,6 @@ TEST(ZeroAlloc, TenantSessionSteadyStateIntervalIsAllocationFree)
     }
 }
 
-TEST(ZeroAlloc, RecalibratedSessionSteadyStateIntervalIsAllocationFree)
-{
-    // After a refit has been adopted, the governed loop runs on the
-    // swapped-in generation — ring snapshotting, the maybeRefit fast
-    // path, and the rebuilt (pre-warmed at the refit) governor must all
-    // stay off the heap. max_generations=1 plus an effectively-infinite
-    // cooldown keep any further refit (which allocates its design
-    // matrix and candidate) out of the counted window.
-    sim::FaultPlan plan;
-    plan.power_drift_bias = 5e-4;
-    plan.drift_clamp = 0.4;
-    runtime::RecalibrationPolicy pol;
-    pol.recal_divergence_w = 6.0;
-    pol.ring_capacity = 64;
-    pol.min_ring_fill = 32;
-    pol.max_generations = 1;
-    pol.cooldown_intervals = 1000000;
-    runtime::DigestSink digest;
-    auto session = runtime::Session::builder(sim::fx8320Config())
-                       .seed(5)
-                       .trainingSeed(91)
-                       .trainingCombos(smallTrainingSet())
-                       .onePerCu({"EP", "CG", "458.sjeng", "EP"})
-                       .faults(plan)
-                       .recalibration(pol)
-                       .sink(digest)
-                       .build();
-
-    session.drive(300); // drift, trigger, refit, adopt
-    const runtime::Recalibrator *rc = session.recalibrator();
-    ASSERT_NE(rc, nullptr);
-    ASSERT_EQ(rc->generation(), 1u)
-        << "the audit needs the swap to have happened";
-
-    session.drive(5); // warm the post-swap scratch
-
-    for (int i = 0; i < 20; ++i) {
-        g_news.store(0, std::memory_order_relaxed);
-        g_counting.store(true, std::memory_order_relaxed);
-        session.drive(1);
-        g_counting.store(false, std::memory_order_relaxed);
-        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
-            << "a warm governed interval on a recalibrated session "
-               "allocated";
-    }
-}
-
 TEST(ZeroAlloc, HardenedJitteredSessionIntervalIsAllocationFree)
 {
     // Jittered intervals run more ticks than nominal through the shared

@@ -112,7 +112,6 @@ struct Options
     std::string mix;
     std::size_t tenants = 0;
     std::string faults;
-    bool recalibrate = false;
     std::string record_path;
     std::string replay_path;
     double budget_w = 0.0; // 0 = no arbitration
@@ -154,9 +153,6 @@ usage(int code)
         "                             this fault plan (key=value CSV,\n"
         "                             e.g. power_drift_bias=2e-4,\n"
         "                             drift_clamp=0.3)\n"
-        "        [--recalibrate]      refit the dynamic-power weights\n"
-        "                             online when divergence climbs and\n"
-        "                             hot-swap the accepted model in\n"
         "        [--record FILE]      record every session's interval\n"
         "                             stream into a replay file\n"
         "        [--replay FILE]      govern from a recorded file with\n"
@@ -259,8 +255,6 @@ parse(int argc, char **argv)
             opt.tenants = parseNumber<std::size_t>(arg.c_str(), next());
         else if (arg == "--faults")
             opt.faults = next();
-        else if (arg == "--recalibrate")
-            opt.recalibrate = true;
         else if (arg == "--record")
             opt.record_path = next();
         else if (arg == "--replay")
@@ -661,8 +655,6 @@ cmdFleet(const Options &opt)
         for (auto &ss : spec.sessions)
             ss.faults = plan;
     }
-    if (opt.recalibrate)
-        spec.default_recalibration.emplace();
     spec.record_path = opt.record_path;
     spec.replay_path = opt.replay_path;
 
@@ -857,25 +849,18 @@ cmdFleet(const Options &opt)
         }
         at.print(std::cout);
     }
-    if (opt.recalibrate) {
-        std::printf("\nrecalibration:\n");
+    if (!opt.faults.empty()) {
+        // Read the MAE with its denominator: it is taken over the
+        // intervals that carried a prediction, and degraded intervals
+        // carry none.
+        std::printf("\nhealth:\n");
         for (const auto &s : res.sessions) {
             if (!s.completed)
                 continue;
-            std::printf("  %-10s generation %llu, %llu refits "
-                        "(%llu adopted, %llu rejected), divergence "
-                        "EWMA %.2f W, power MAE %.3f W over %zu "
-                        "predicted intervals, %zu degraded\n",
-                        s.name.c_str(),
-                        static_cast<unsigned long long>(
-                            s.summary.model_generation),
-                        static_cast<unsigned long long>(
-                            s.summary.recal_triggers),
-                        static_cast<unsigned long long>(
-                            s.summary.recal_accepted),
-                        static_cast<unsigned long long>(
-                            s.summary.recal_rejected),
-                        s.summary.final_divergence_ewma_w,
+            std::printf("  %-10s divergence EWMA %.2f W, power MAE "
+                        "%.3f W over %zu predicted intervals, %zu "
+                        "degraded\n",
+                        s.name.c_str(), s.summary.final_divergence_ewma_w,
                         s.summary.power_mae_w,
                         s.summary.predicted_intervals,
                         s.summary.degraded_intervals);
