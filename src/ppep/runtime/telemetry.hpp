@@ -223,8 +223,9 @@ class JsonlSink : public StreamSink
  * (the interval's sensor power, diode temperature, per-core PMC counts,
  * VF context and busy-core count, and the health words of a hardened
  * session) plus what the pipeline decided from it (predicted power,
- * exploration rows, next VFs, tenant split, degraded flag). decision_latency_s (wall clock) is excluded,
- * and so is the simulator's ground truth (oracle counts, true_* means,
+ * exploration rows, next VFs, tenant split, degraded flag).
+ * decision_latency_s (wall clock) is excluded, and so is the
+ * simulator's ground truth (oracle counts, true_* means,
  * nb_utilization): a replay does not carry it, so a recorded session
  * and its replay agree because both hash the same observed fields.
  * GoldenDigest.CollectorTruth pins the truth the Collector produces.
